@@ -7,6 +7,7 @@ package gef
 // outputs with ==, not tolerances.
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -340,10 +341,11 @@ func TestEngineWarmCacheDeterministicAcrossWorkers(t *testing.T) {
 // TestFamilySurrogatesDeterministicAcrossWorkers extends the
 // determinism gate to the explainer-family registry (ISSUE 10): every
 // first-party surrogate family must produce bitwise-identical
-// predictions at workers ∈ {1, 2, NumCPU}, cold and warm. Warm runs
-// exercise a different code path per family — gam refits over cached
-// upstream artifacts while rules/smoother replay a cached fit-stage
-// model — and both must be output-invisible.
+// predictions at workers ∈ {1, 2, NumCPU}, cold and warm. A warm run
+// replays the cached fit-stage artifact — model and fidelity — for
+// every family, so it must record exactly one fit-stage hit; for gam
+// the warm model's Marshal(true) bytes and Fidelity must also equal the
+// cold run's at workers=1.
 func TestFamilySurrogatesDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline sweep")
@@ -360,9 +362,15 @@ func TestFamilySurrogatesDeterministicAcrossWorkers(t *testing.T) {
 				GAM:           GAMOptions{Lambdas: []float64{0.01, 1, 100}},
 				Seed:          3,
 			}
-			runTwice := func() (cold, warm []float64) {
+			type run struct {
+				preds []float64
+				blob  []byte // gam only: Marshal(true)
+				fid   Fidelity
+			}
+			runTwice := func(w int) (cold, warm run) {
 				s := NewExplainer(f)
-				for i, out := range []*[]float64{&cold, &warm} {
+				for i, out := range []*run{&cold, &warm} {
+					before := s.CacheStats().Stages["fit"]
 					e, err := s.Explain(cfg)
 					if err != nil {
 						t.Fatalf("run %d: %v", i, err)
@@ -370,25 +378,44 @@ func TestFamilySurrogatesDeterministicAcrossWorkers(t *testing.T) {
 					if e.Family != fam {
 						t.Fatalf("run %d: family %q, want %q (fallback must not fire here)", i, e.Family, fam)
 					}
+					after := s.CacheStats().Stages["fit"]
+					if i == 1 && (after.Hits != before.Hits+1 || after.Misses != before.Misses) {
+						t.Errorf("workers=%d: warm %s run is not a fit-stage hit: %+v → %+v", w, fam, before, after)
+					}
 					preds, err := e.Surrogate.PredictBatch(context.Background(), rows)
 					if err != nil {
 						t.Fatalf("run %d: predict: %v", i, err)
 					}
-					*out = preds
+					out.preds, out.fid = preds, e.Fidelity
+					if e.Model != nil {
+						if out.blob, err = e.Model.Marshal(true); err != nil {
+							t.Fatalf("run %d: marshal: %v", i, err)
+						}
+					}
 				}
 				return cold, warm
 			}
-			var ref []float64
+			requireSameRun := func(what string, ref, got run, w int) {
+				t.Helper()
+				requireSameFloats(t, fam+" "+what+" predictions", ref.preds, got.preds, w)
+				if !bytes.Equal(ref.blob, got.blob) {
+					t.Errorf("workers=%d: %s %s model bytes differ", w, fam, what)
+				}
+				if ref.fid != got.fid {
+					t.Errorf("workers=%d: %s %s fidelity %+v, want %+v", w, fam, what, got.fid, ref.fid)
+				}
+			}
+			var ref run
 			atWorkers(t, 1, func() {
-				cold, warm := runTwice()
-				requireSameFloats(t, fam+" warm vs cold predictions", cold, warm, 1)
+				cold, warm := runTwice(1)
+				requireSameRun("warm vs cold", cold, warm, 1)
 				ref = cold
 			})
 			for _, w := range workerCounts()[1:] {
 				atWorkers(t, w, func() {
-					cold, warm := runTwice()
-					requireSameFloats(t, fam+" cold predictions", ref, cold, w)
-					requireSameFloats(t, fam+" warm predictions", ref, warm, w)
+					cold, warm := runTwice(w)
+					requireSameRun("cold", ref, cold, w)
+					requireSameRun("warm", ref, warm, w)
 				})
 			}
 		})

@@ -12,12 +12,10 @@ import (
 )
 
 // Lockbalance is the flow-sensitive mutex audit. The engine artifact
-// cache, the obs recorder/registry and the gam basis cache all use
-// hand-balanced Lock/Unlock pairs (holding a lock across newBSpline or
-// penaltyBlock would serialize the whole fit, so defer is deliberately
-// not used there) — and a Lock left held on one early-return or panic
-// path deadlocks the process only when that path and a second caller
-// race, which ordinary tests essentially never arrange.
+// cache and the obs recorder/registry use hand-balanced Lock/Unlock
+// pairs — and a Lock left held on one early-return or panic path
+// deadlocks the process only when that path and a second caller race,
+// which ordinary tests essentially never arrange.
 //
 // For every function it runs a forward dataflow over the control-flow
 // graph tracking, per mutex expression (m.mu, e.mu — read and write

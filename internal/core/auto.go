@@ -83,9 +83,8 @@ func AutoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoConfig) (*Exp
 // AutoExplainCtx runs the component search through e's artifact cache.
 // The search shares the stats/featsel/domains/sample/interactions
 // artifacts with plain ExplainCtx calls over the same forest and base
-// configuration, and every candidate fit reuses the engine's B-spline
-// bases and penalty blocks — a warm engine skips straight to the
-// candidate fits.
+// configuration — a warm engine skips straight to the candidate fits,
+// which run directly (outside the fit stage: each is a one-off spec).
 func (e *Engine) AutoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoConfig) (*Explanation, []AutoStep, error) {
 	ex, steps, err := e.autoExplainCtx(ctx, f, cfg)
 	if err != nil {
@@ -140,7 +139,6 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 
 	// fit builds and fits the candidate with ns splines and ni tensor
 	// terms (heredity: pairs restricted to the first ns features).
-	h0, m0 := e.basis.Counters()
 	fit := func(ns, ni int) (*gam.Model, []featsel.Pair, float64, error) {
 		cctx, csp := obs.Start(ctx, "auto.candidate",
 			obs.Int("splines", ns), obs.Int("interactions", ni))
@@ -163,7 +161,7 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		m, err := gam.FitCache(cctx, spec, train.X, train.Y, base.GAM, e.basis)
+		m, err := gam.FitCtx(cctx, spec, train.X, train.Y, base.GAM)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -171,11 +169,6 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 		csp.Set(obs.F64("rmse", rmse))
 		return m, selPairs, rmse, nil
 	}
-	defer func() {
-		h1, m1 := e.basis.Counters()
-		e.addStage("fit", h1-h0, m1-m0)
-	}()
-
 	var trace []AutoStep
 	bestModel, bestPairs, bestRMSE, err := fit(1, 0)
 	if err != nil {

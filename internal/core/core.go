@@ -361,39 +361,27 @@ func (e *Engine) explainCtx(ctx context.Context, f *forest.Forest, cfg Config) (
 	if err := checkpoint(4); err != nil {
 		return nil, err
 	}
-	model, err := p.fitSurrogate(ctx, pairs)
+	fit, err := p.fitSurrogate(ctx, pairs)
 	if err != nil {
 		return nil, fmt.Errorf("gef: fitting the %s explanation: %w", cfg.Family, err)
 	}
 
 	ex := &Explanation{
-		Family:       model.Family(),
-		Surrogate:    model,
+		Family:       fit.model.Family(),
+		Surrogate:    fit.model,
 		Features:     p.features,
 		Pairs:        pairs,
 		Domains:      p.domains,
 		Train:        p.train,
 		Test:         p.test,
+		Fidelity:     fit.fidelity,
 		Forest:       f,
 		Config:       cfg,
 		Degradations: p.degr,
 	}
-	if gm, ok := model.(*gamModel); ok {
+	if gm, ok := fit.model.(*gamModel); ok {
 		ex.Model = gm.m
 	}
-	fctx, fsp := obs.Start(ctx, "gef.fidelity", obs.Int("test_rows", len(p.test.X)),
-		obs.Str("family", ex.Family))
-	pred, perr := model.PredictBatch(fctx, p.test.X)
-	if perr != nil {
-		fsp.End()
-		return nil, perr
-	}
-	ex.Fidelity = Fidelity{
-		RMSE: stats.RMSE(pred, p.test.Y),
-		R2:   stats.R2(pred, p.test.Y),
-	}
-	fsp.Set(obs.F64("rmse", ex.Fidelity.RMSE), obs.F64("r2", ex.Fidelity.R2))
-	fsp.End()
 	root.Set(obs.F64("rmse", ex.Fidelity.RMSE), obs.F64("r2", ex.Fidelity.R2))
 	return ex, nil
 }
@@ -403,16 +391,16 @@ func (e *Engine) explainCtx(ctx context.Context, f *forest.Forest, cfg Config) (
 // a family fails numerically even after its own in-family recovery.
 // Each fallback rung is recorded in the pipeline's degradation list, so
 // the caller always knows which family actually produced the model.
-func (p *pipeline) fitSurrogate(ctx context.Context, pairs []featsel.Pair) (SurrogateModel, error) {
+func (p *pipeline) fitSurrogate(ctx context.Context, pairs []featsel.Pair) (*fitArtifact, error) {
 	fam := p.cfg.Family
 	for {
 		sur, err := surrogateFor(fam)
 		if err != nil {
 			return nil, err
 		}
-		model, err := p.runFit(ctx, sur, pairs)
+		fit, err := p.runFit(ctx, sur, pairs)
 		if err == nil {
-			return model, nil
+			return fit, nil
 		}
 		next, ok := familyFallback[fam]
 		if !ok || !errors.Is(err, robust.ErrNumerical) {
@@ -428,18 +416,13 @@ func (p *pipeline) fitSurrogate(ctx context.Context, pairs []featsel.Pair) (Surr
 	}
 }
 
-// runFit runs one family's fit through the engine. Families with a
-// non-empty Key fragment cache their fitted model as a fit-stage
-// artifact keyed under the sample key, the family, the pair list and
-// the fragment; the gam family stays uncached (empty key) and surfaces
-// its reuse through the engine's gam.BasisCache counters instead — the
-// unconditional addStage below folds those deltas into the "fit" row.
-func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pair) (SurrogateModel, error) {
-	key := ""
-	if frag := sur.Key(p.cfg); frag != "" {
-		key = "ft|" + p.smpKey + "|fam=" + sur.Name() + "|p=" + pairsKey(pairs) + "|" + frag
-	}
-	h0, m0 := p.eng.basis.Counters()
+// runFit runs one family's fit through the engine. The fitted model and
+// its fidelity on the D* test split are one fit-stage artifact, keyed
+// under the sample key (which pins the split), the family, the pair list
+// and the family's Key fragment — so a hit replays the same model, the
+// same fidelity and the same degradations the cold fit produced.
+func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pair) (*fitArtifact, error) {
+	key := "ft|" + p.smpKey + "|fam=" + sur.Name() + "|p=" + pairsKey(pairs) + "|" + sur.Key(p.cfg)
 	v, err := p.eng.runStage(ctx, p, stage{
 		name: "fit",
 		key:  func(*pipeline) string { return key },
@@ -453,7 +436,6 @@ func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pa
 				Domains:    p.domains,
 				Train:      p.train,
 				Test:       p.test,
-				Basis:      p.eng.basis,
 			})
 			if ferr != nil {
 				// In-family degradations that preceded the failure still
@@ -462,11 +444,13 @@ func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pa
 				p.degr = append(p.degr, degr...)
 				return nil, ferr
 			}
-			return &fitArtifact{model: model, degr: degr}, nil
+			fid, ferr := fidelity(ctx, model, p.test)
+			if ferr != nil {
+				return nil, ferr
+			}
+			return &fitArtifact{model: model, fidelity: fid, degr: degr}, nil
 		},
 	})
-	h1, m1 := p.eng.basis.Counters()
-	p.eng.addStage("fit", h1-h0, m1-m0)
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +459,22 @@ func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pa
 	// already counted when the artifact was computed — mirror the
 	// domains stage and only extend the pipeline record here).
 	p.degr = append(p.degr, art.degr...)
-	return art.model, nil
+	return art, nil
+}
+
+// fidelity measures model against the forest's own predictions on the
+// held-out D* split.
+func fidelity(ctx context.Context, model SurrogateModel, test *dataset.Dataset) (Fidelity, error) {
+	ctx, sp := obs.Start(ctx, "gef.fidelity", obs.Int("test_rows", len(test.X)),
+		obs.Str("family", model.Family()))
+	defer sp.End()
+	pred, err := model.PredictBatch(ctx, test.X)
+	if err != nil {
+		return Fidelity{}, err
+	}
+	fid := Fidelity{RMSE: stats.RMSE(pred, test.Y), R2: stats.R2(pred, test.Y)}
+	sp.Set(obs.F64("rmse", fid.RMSE), obs.F64("r2", fid.R2))
+	return fid, nil
 }
 
 // fitLadder fits spec, walking the structural degradation ladder when
@@ -484,9 +483,9 @@ func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pa
 // minimal-basis main-effects fit. Each rung is recorded in degradations;
 // deadline/cancellation and degenerate-input errors abort immediately —
 // a simpler model cannot repair those classes.
-func fitLadder(ctx context.Context, spec gam.Spec, train *dataset.Dataset, opt gam.Options, degradations *[]robust.Degradation, cache *gam.BasisCache) (*gam.Model, error) {
+func fitLadder(ctx context.Context, spec gam.Spec, train *dataset.Dataset, opt gam.Options, degradations *[]robust.Degradation) (*gam.Model, error) {
 	for {
-		model, err := gam.FitCache(ctx, spec, train.X, train.Y, opt, cache)
+		model, err := gam.FitCtx(ctx, spec, train.X, train.Y, opt)
 		if err == nil {
 			return model, nil
 		}

@@ -10,7 +10,6 @@ import (
 	"gef/internal/dataset"
 	"gef/internal/featsel"
 	"gef/internal/forest"
-	"gef/internal/gam"
 	"gef/internal/obs"
 	"gef/internal/robust"
 )
@@ -39,14 +38,12 @@ const defaultCacheBudget = 256 << 20
 // domains, sampled D* splits and interaction rankings instead of
 // recomputing them — and because every explainer family shares those
 // upstream stages, a family sweep on one engine pays for them once.
-// Fitted GAMs are never cached (they depend on the whole upstream
-// state); the gam fit instead reuses B-spline bases and penalty blocks
-// through a session-wide gam.BasisCache. The other families cache their
-// fitted models as ordinary fit-stage artifacts (see Surrogate.Key).
+// Every family's fitted model, with its fidelity, is an ordinary
+// fit-stage artifact (see Surrogate.Key).
 //
 // Cached artifacts are immutable by convention: stages copy anything
 // they need to mutate, and result fields that alias cache entries
-// (Explanation.Domains, .Train, .Test) are documented as shared.
+// (Explanation.Domains, .Train, .Test, .Model, .Surrogate) are shared.
 // Because every artifact is a pure function of its key, a warm-cache run
 // is bitwise identical to a cold one — the determinism contract
 // (identical output at any worker count) extends across cache states.
@@ -61,8 +58,6 @@ type Engine struct {
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
 	stages  map[string]*StageCacheStats
-
-	basis *gam.BasisCache
 }
 
 // cacheEntry is one cached artifact with its bookkeeping.
@@ -86,7 +81,6 @@ func NewEngineBudget(budgetBytes int64) *Engine {
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 		stages:  make(map[string]*StageCacheStats),
-		basis:   gam.NewBasisCache(),
 	}
 }
 
@@ -122,8 +116,7 @@ type CacheStats struct {
 	Entries int   // artifacts currently resident
 	Bytes   int64 // approximate payload bytes currently resident
 	// Stages breaks hits/misses down per stage name (stats, featsel,
-	// domains, sample, interactions, fit — fit counts basis/penalty
-	// reuse inside gam.BasisCache).
+	// domains, sample, interactions, fit).
 	Stages map[string]StageCacheStats
 }
 
@@ -243,16 +236,14 @@ func (e *Engine) store(stage, key string, val any) {
 
 // runStage executes one pipeline stage through the artifact cache: a
 // hit returns the cached artifact under an engine.<stage> span with
-// cache=hit; a miss (or an uncacheable/bypassed stage) runs the stage
-// under the same span with the cache attribute saying why. Stages with
-// an empty key are never cached; an installed fault injector bypasses
-// the cache so fault plans hit real computations.
+// cache=hit; a miss runs the stage under the same span with cache=miss.
+// A disabled cache (budget ≤ 0) or an installed fault injector bypasses
+// the cache (cache=bypass, no hit/miss counting), so fault plans hit
+// real computations.
 func (e *Engine) runStage(ctx context.Context, p *pipeline, sg stage) (any, error) {
-	key := ""
-	if sg.key != nil {
-		key = sg.key(p)
-	}
-	cacheable := key != "" && e.budget > 0 && !robust.InjectionActive()
+	key := sg.key(p)
+	cacheable := e.budget > 0 && !robust.InjectionActive()
+	mode := "bypass"
 	if cacheable {
 		if v, ok := e.lookup(key); ok {
 			e.addStage(sg.name, 1, 0)
@@ -261,13 +252,7 @@ func (e *Engine) runStage(ctx context.Context, p *pipeline, sg stage) (any, erro
 			return v, nil
 		}
 		e.addStage(sg.name, 0, 1)
-	}
-	mode := "miss"
-	switch {
-	case key == "":
-		mode = "uncached"
-	case !cacheable:
-		mode = "bypass"
+		mode = "miss"
 	}
 	sctx, sp := obs.Start(ctx, "engine."+sg.name, obs.Str("cache", mode))
 	defer sp.End()

@@ -26,8 +26,8 @@ func marshalModel(t *testing.T, e *Explanation) []byte {
 
 // TestEngineWarmExplainBitwiseIdentical is the tentpole contract: a
 // second Explain with the same forest and config is served from the
-// cache (every cacheable stage hits) and produces bitwise-identical
-// output.
+// cache (every stage, the gam fit included, hits) and produces
+// bitwise-identical output.
 func TestEngineWarmExplainBitwiseIdentical(t *testing.T) {
 	f := gprimeForest(t)
 	eng := NewEngine()
@@ -36,7 +36,7 @@ func TestEngineWarmExplainBitwiseIdentical(t *testing.T) {
 		t.Fatalf("cold Explain: %v", err)
 	}
 	st := eng.CacheStats()
-	for _, name := range []string{"stats", "featsel", "domains", "sample", "interactions"} {
+	for _, name := range []string{"stats", "featsel", "domains", "sample", "interactions", "fit"} {
 		if st.Stages[name].Hits != 0 {
 			t.Errorf("cold run recorded %d hits for stage %q", st.Stages[name].Hits, name)
 		}
@@ -50,7 +50,7 @@ func TestEngineWarmExplainBitwiseIdentical(t *testing.T) {
 		t.Fatalf("warm Explain: %v", err)
 	}
 	st = eng.CacheStats()
-	for _, name := range []string{"stats", "featsel", "domains", "sample", "interactions"} {
+	for _, name := range []string{"stats", "featsel", "domains", "sample", "interactions", "fit"} {
 		if st.Stages[name].Hits == 0 {
 			t.Errorf("warm run recorded no hit for stage %q", name)
 		}
@@ -71,7 +71,8 @@ func TestEngineWarmExplainBitwiseIdentical(t *testing.T) {
 
 // TestEngineWarmAutoExplain: a warm AutoExplain skips straight to the
 // candidate fits — every shared stage hits — and returns a
-// bitwise-identical model (the acceptance criterion of ISSUE 5).
+// bitwise-identical model. The candidates are fitted directly, so the
+// search records no fit-stage lookups at all.
 func TestEngineWarmAutoExplain(t *testing.T) {
 	f := gprimeForest(t)
 	acfg := AutoConfig{Base: engineCfg(), MaxUnivariate: 4, MaxInteractions: 1}
@@ -93,8 +94,8 @@ func TestEngineWarmAutoExplain(t *testing.T) {
 			t.Errorf("warm AutoExplain: no hit for stage %q", name)
 		}
 	}
-	if st.Stages["fit"].Hits == 0 {
-		t.Error("candidate fits recorded no basis-cache hits")
+	if fit, ok := st.Stages["fit"]; ok {
+		t.Errorf("AutoExplain recorded fit-stage lookups: %+v", fit)
 	}
 	if !bytes.Equal(marshalModel(t, cold), marshalModel(t, warm)) {
 		t.Error("warm AutoExplain model differs from cold")
@@ -183,13 +184,96 @@ func TestEngineInjectionBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := eng.CacheStats()
-	// The fit stage's basis cache stays live under injection (bases are
-	// pure values, no injection site fires inside them); the artifact
-	// stages must neither hit nor count misses.
-	for _, name := range []string{"stats", "featsel", "domains", "sample", "interactions"} {
+	// No stage may hit or count a miss under injection.
+	for _, name := range []string{"stats", "featsel", "domains", "sample", "interactions", "fit"} {
 		if after.Stages[name] != before.Stages[name] {
 			t.Errorf("stage %q touched the artifact cache under injection: %+v → %+v",
 				name, before.Stages[name], after.Stages[name])
 		}
+	}
+}
+
+// TestGAMFitKeyCoverage: the gam fit key covers every field the fit
+// reads beyond the sample key. A warm engine must miss the fit stage —
+// and only the fit stage — for configs that differ in one such field,
+// and hit it for an identical config with the cold engine's exact bytes
+// and fidelity.
+func TestGAMFitKeyCoverage(t *testing.T) {
+	f := gprimeForest(t)
+	base := engineCfg()
+	// Pin the domains-key threshold so CategoricalThreshold alone moves
+	// only the fit key.
+	base.CategoricalThreshold = 10
+	base.Sampling.CategoricalThreshold = 10
+	eng := NewEngine()
+	ref, err := eng.Explain(f, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Pairs) != 1 || len(ref.Features) < 3 {
+		t.Fatalf("fixture needs one ranked pair over ≥3 features, got %v over %v", ref.Pairs, ref.Features)
+	}
+	forced := [2]int{ref.Features[0], ref.Features[2]}
+	if pr := ref.Pairs[0]; (pr.I == forced[0] && pr.J == forced[1]) || (pr.I == forced[1] && pr.J == forced[0]) {
+		forced[1] = ref.Features[1]
+	}
+	variants := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"SplineBasis", func(c *Config) { c.SplineBasis = 10 }},
+		{"TensorBasis", func(c *Config) { c.TensorBasis = 5 }},
+		{"CategoricalThreshold", func(c *Config) { c.CategoricalThreshold = 4 }},
+		{"GAM.Lambdas", func(c *Config) { c.GAM.Lambdas = []float64{0.1, 10} }},
+		{"GAM.MaxIRLS", func(c *Config) { c.GAM.MaxIRLS = 7 }},
+		{"GAM.Tol", func(c *Config) { c.GAM.Tol = 1e-4 }},
+		{"pairs", func(c *Config) { c.ForcedPairs = [][2]int{forced} }},
+	}
+	for _, v := range variants {
+		cfg := base
+		v.edit(&cfg)
+		before := eng.CacheStats().Stages
+		if _, err := eng.Explain(f, cfg); err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		after := eng.CacheStats().Stages
+		if d := after["fit"].Misses - before["fit"].Misses; d != 1 || after["fit"].Hits != before["fit"].Hits {
+			t.Errorf("%s: fit stage %+v → %+v, want exactly one miss", v.name, before["fit"], after["fit"])
+		}
+		if after["sample"].Hits-before["sample"].Hits != 1 {
+			t.Errorf("%s: sample stage did not hit; the variant moved an upstream key", v.name)
+		}
+	}
+
+	before := eng.CacheStats().Stages["fit"]
+	warm, err := eng.Explain(f, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := eng.CacheStats().Stages["fit"]; after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("identical config: fit stage %+v → %+v, want exactly one hit", before, after)
+	}
+	cold, err := NewEngine().Explain(f, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalModel(t, cold), marshalModel(t, warm)) {
+		t.Error("fit-stage hit model differs from a cold engine's")
+	}
+	if cold.Fidelity != warm.Fidelity {
+		t.Errorf("fidelity differs: cold %+v, warm %+v", cold.Fidelity, warm.Fidelity)
+	}
+}
+
+// TestGAMArtifactCost: a cached gam fit is charged at least its p×p
+// Cholesky factor against the cache budget.
+func TestGAMArtifactCost(t *testing.T) {
+	ex, err := NewEngine().Explain(gprimeForest(t), engineCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := int64(ex.Model.NumCoef())
+	if got := artifactCost(&fitArtifact{model: ex.Surrogate}); got < 8*p*p {
+		t.Errorf("gam artifact cost %d B < 8·p² = %d B (p = %d)", got, 8*p*p, p)
 	}
 }

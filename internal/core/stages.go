@@ -20,9 +20,7 @@ import (
 // of stats/featsel/domains/sample/interactions/fit), a deterministic
 // cache key derived from the forest fingerprint plus exactly the config
 // fields the stage reads, and the computation producing the stage's
-// artifact. An empty key marks the stage uncacheable: the fit stage
-// returns fitted models, which depend on the entire upstream state and
-// whose reuse is captured at a finer grain by gam.BasisCache instead.
+// artifact.
 //
 // Key strings embed their upstream stage's full key rather than a hash
 // of it, so distinct pipelines can never collide — at worst keys get
@@ -102,6 +100,18 @@ func intsKey(xs []int) string {
 			b.WriteByte(',')
 		}
 		b.WriteString(strconv.Itoa(x))
+	}
+	return b.String()
+}
+
+// floatsKey renders a float slice for cache keys, element by fbits.
+func floatsKey(xs []float64) string {
+	var b strings.Builder
+	for i, x := range xs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(fbits(x))
 	}
 	return b.String()
 }

@@ -77,7 +77,6 @@ type FitInput struct {
 	Domains    *sampling.Domains
 	Train      *dataset.Dataset
 	Test       *dataset.Dataset
-	Basis      *gam.BasisCache
 }
 
 // Surrogate is one pluggable explainer family behind the fit stage.
@@ -86,10 +85,9 @@ type Surrogate interface {
 	// built-in families).
 	Name() string
 	// Key returns the family-specific fragment of the fit-stage cache
-	// key, derived from the effective (defaulted) configuration. An
-	// empty fragment marks the family's fits uncacheable — the GAM
-	// family does this because gam.BasisCache already captures its reuse
-	// at a finer grain.
+	// key, derived from the effective (defaulted) configuration: it must
+	// cover every config field the fit reads beyond the sample key and
+	// the pair list, which the engine already keys on.
 	Key(cfg Config) string
 	// Fit fits the family on the shared artifacts. Returned degradations
 	// are recorded by the caller's pipeline; an ErrNumerical failure
@@ -164,13 +162,15 @@ func init() {
 	RegisterSurrogate(distillSurrogate{})
 }
 
-// fitArtifact is the fit stage's cacheable output: the fitted model plus
-// the degradations its fit recorded, so a cache hit replays the same
-// simplification record the original computation produced (mirroring
-// domainsArtifact).
+// fitArtifact is the fit stage's cacheable output: the fitted model, its
+// fidelity on the D* test split (pinned by the sample key, so it is a
+// pure function of the fit key) and the degradations its fit recorded,
+// so a cache hit replays the same simplification record the original
+// computation produced (mirroring domainsArtifact).
 type fitArtifact struct {
-	model SurrogateModel
-	degr  []robust.Degradation
+	model    SurrogateModel
+	fidelity Fidelity
+	degr     []robust.Degradation
 }
 
 // cost approximates the artifact's resident bytes for the engine's
@@ -189,10 +189,12 @@ func (a *fitArtifact) cost() int64 {
 		return int64(nodes)*48 + 512
 	case *limeModel:
 		return int64(len(m.p.Weights)+len(m.p.X0)+len(m.p.SDs))*8 + 512
+	case *gamModel:
+		return m.m.SizeBytes()
 	default:
 		// Rule models hold a compiled-forest pointer (owned by the
 		// process-wide forest.Compiled cache, not this entry) plus a
-		// summary; GAM models are never cached here.
+		// summary.
 		return 2048
 	}
 }
@@ -219,9 +221,15 @@ type gamSurrogate struct{}
 
 func (gamSurrogate) Name() string { return FamilyGAM }
 
-// Key returns "" — fitted GAMs are never cached as artifacts; their
-// reuse is captured at a finer grain by the engine's gam.BasisCache.
-func (gamSurrogate) Key(Config) string { return "" }
+// Key covers what the GAM fit reads beyond the sample key and the pair
+// list: the basis sizes, the categorical threshold buildSpec applies
+// (which may differ from the Sampling one in the domains key) and the
+// fitting options.
+func (gamSurrogate) Key(cfg Config) string {
+	return "sb=" + strconv.Itoa(cfg.SplineBasis) + "|tb=" + strconv.Itoa(cfg.TensorBasis) +
+		"|cat=" + strconv.Itoa(cfg.CategoricalThreshold) + "|lam=" + floatsKey(cfg.GAM.Lambdas) +
+		"|irls=" + strconv.Itoa(cfg.GAM.MaxIRLS) + "|tol=" + fbits(cfg.GAM.Tol)
+}
 
 func (gamSurrogate) Fit(ctx context.Context, in *FitInput) (SurrogateModel, []robust.Degradation, error) {
 	spec, err := buildSpec(in.Forest, in.Thresholds, in.Features, in.Pairs, in.Config)
@@ -229,7 +237,7 @@ func (gamSurrogate) Fit(ctx context.Context, in *FitInput) (SurrogateModel, []ro
 		return nil, nil, err
 	}
 	var degr []robust.Degradation
-	m, err := fitLadder(ctx, spec, in.Train, in.Config.GAM, &degr, in.Basis)
+	m, err := fitLadder(ctx, spec, in.Train, in.Config.GAM, &degr)
 	if err != nil {
 		return nil, degr, err
 	}
@@ -247,7 +255,7 @@ func (gamSurrogate) UnmarshalPayload(data []byte) (SurrogateModel, error) {
 // gamModel wraps the fitted GAM behind the family-neutral interface.
 type gamModel struct{ m *gam.Model }
 
-func (g *gamModel) Family() string             { return FamilyGAM }
+func (g *gamModel) Family() string              { return FamilyGAM }
 func (g *gamModel) Predict(x []float64) float64 { return g.m.Predict(x) }
 
 func (g *gamModel) PredictBatch(_ context.Context, xs [][]float64) ([]float64, error) {

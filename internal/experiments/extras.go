@@ -148,7 +148,7 @@ func RunExtraEngine(p Params) (*Report, error) {
 		fmt.Sprintf("cold %v vs warm %v on one session — %d hits / %d misses, %d cached artifacts",
 			elapsed[0].Round(time.Millisecond), elapsed[1].Round(time.Millisecond),
 			stats.Hits, stats.Misses, stats.Entries),
-		"the fit row counts B-spline basis/penalty reuse inside gam; the other rows cache whole pipeline artifacts")
+		"AutoExplain fits its candidates directly, so no fit row appears; the other rows cache whole pipeline artifacts")
 	return r, nil
 }
 
@@ -286,7 +286,7 @@ func RunExtraFamilies(p Params) (*Report, error) {
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("one engine session, %d families: %d artifact hits / %d misses — stats, domains and D* are built once and shared",
 			len(fams), stats.Hits, stats.Misses),
-		"gam fits per-call (basis cache counters fold into the fit row); rules/smoother models are cached as fit-stage artifacts")
+		"every family's fitted model and fidelity are cached as fit-stage artifacts")
 
 	if p.OutDir != "" {
 		if err := os.MkdirAll(p.OutDir, 0o755); err != nil {

@@ -199,6 +199,20 @@ func TestKroneckerSum(t *testing.T) {
 	}
 }
 
+// TestPenaltyBlockTensorNullSpace: tensor penalty blocks carry the
+// null-space shrinkage on their diagonal.
+func TestPenaltyBlockTensorNullSpace(t *testing.T) {
+	m := 4
+	plain := kroneckerSum(secondDiffPenalty(m), secondDiffPenalty(m))
+	shrunk := penaltyBlock(Tensor, m)
+	for i := 0; i < plain.Rows; i++ {
+		want := plain.At(i, i) + tensorNullPenalty
+		if got := shrunk.At(i, i); got != want {
+			t.Fatalf("diagonal %d: got %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestIdentityPenalty(t *testing.T) {
 	s := identityPenalty(3)
 	if s.Trace() != 3 || s.At(0, 1) != 0 {

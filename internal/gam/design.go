@@ -8,7 +8,7 @@ import (
 )
 
 // tensorNullPenalty is the relative identity shrinkage added to tensor
-// penalty blocks (see penaltyMatrix).
+// penalty blocks (see penaltyBlock).
 const tensorNullPenalty = 0.05
 
 // maxFactorLevels bounds factor-term width: a factor with thousands of
@@ -41,8 +41,7 @@ type design struct {
 }
 
 // buildDesign binds the spec to the data and encodes every row sparsely.
-// cache (nil allowed) memoizes the B-spline basis objects across fits.
-func buildDesign(spec Spec, xs [][]float64, cache *BasisCache) (*design, error) {
+func buildDesign(spec Spec, xs [][]float64) (*design, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("gam: empty design data")
 	}
@@ -71,7 +70,7 @@ func buildDesign(spec Spec, xs [][]float64, cache *BasisCache) (*design, error) 
 				}
 				bt.spec = ts
 			}
-			bs, err := basisCached(cache, ts.NumBasis, lo, hi)
+			bs, err := newBSpline(ts.NumBasis, lo, hi)
 			if err != nil {
 				return nil, err
 			}
@@ -94,11 +93,11 @@ func buildDesign(spec Spec, xs [][]float64, cache *BasisCache) (*design, error) 
 		case Tensor:
 			lo1, hi1 := columnRange(xs, ts.Feature)
 			lo2, hi2 := columnRange(xs, ts.Feature2)
-			bs1, err := basisCached(cache, ts.NumBasis, lo1, hi1)
+			bs1, err := newBSpline(ts.NumBasis, lo1, hi1)
 			if err != nil {
 				return nil, err
 			}
-			bs2, err := basisCached(cache, ts.NumBasis, lo2, hi2)
+			bs2, err := newBSpline(ts.NumBasis, lo2, hi2)
 			if err != nil {
 				return nil, err
 			}
@@ -172,17 +171,16 @@ func (d *design) encodeRow(row []float64, idxBuf []int, valBuf []float64) int {
 // penaltyMatrix assembles the block-diagonal penalty S over all columns:
 // zero for the intercept, second-difference for splines, identity for
 // factors and a null-space-shrunk Kronecker-sum difference penalty for
-// tensors (see penaltyBlock). cache (nil allowed) memoizes the blocks;
-// blocks are only read here, so cached blocks stay pristine.
-func (d *design) penaltyMatrix(cache *BasisCache) *linalg.Matrix {
+// tensors (see penaltyBlock).
+func (d *design) penaltyMatrix() *linalg.Matrix {
 	s := linalg.NewMatrix(d.p, d.p)
 	for _, bt := range d.terms {
 		var block *linalg.Matrix
 		switch bt.spec.Kind {
 		case Tensor:
-			block = penaltyBlockCached(cache, Tensor, bt.spec.NumBasis)
+			block = penaltyBlock(Tensor, bt.spec.NumBasis)
 		default:
-			block = penaltyBlockCached(cache, bt.spec.Kind, bt.size)
+			block = penaltyBlock(bt.spec.Kind, bt.size)
 		}
 		for a := 0; a < bt.size; a++ {
 			for b := 0; b < bt.size; b++ {
@@ -193,6 +191,32 @@ func (d *design) penaltyMatrix(cache *BasisCache) *linalg.Matrix {
 		}
 	}
 	return s
+}
+
+// penaltyBlock builds one term's penalty block: the second-difference
+// penalty for splines, the identity for factors, and the
+// null-space-shrunk Kronecker-sum penalty for tensors (m is the per-axis
+// basis size; the block is m²×m²).
+func penaltyBlock(kind TermKind, m int) *linalg.Matrix {
+	switch kind {
+	case Factor:
+		return identityPenalty(m)
+	case Tensor:
+		block := kroneckerSum(secondDiffPenalty(m), secondDiffPenalty(m))
+		// Null-space shrinkage (mgcv's double-penalty idea): the
+		// Kronecker-sum penalty leaves bilinear — in particular
+		// marginal — functions unpenalized, so a tensor term can
+		// silently absorb its features' main effects and render the
+		// spline/tensor decomposition unidentified. A small identity
+		// component steers shared variance into the dedicated
+		// univariate terms.
+		for i := 0; i < block.Rows; i++ {
+			block.Add(i, i, tensorNullPenalty)
+		}
+		return block
+	default:
+		return secondDiffPenalty(m)
+	}
 }
 
 // row returns the sparse entries of cached row i.

@@ -74,15 +74,6 @@ func Fit(spec Spec, xs [][]float64, y []float64, opt Options) (*Model, error) {
 // span per λ-grid evaluation (λ, GCV, EDF, and P-IRLS iterations for the
 // logit link).
 func FitCtx(ctx context.Context, spec Spec, xs [][]float64, y []float64, opt Options) (*Model, error) {
-	return FitCache(ctx, spec, xs, y, opt, nil)
-}
-
-// FitCache is FitCtx with an explicit basis cache: the B-spline bases
-// and penalty blocks the fit needs are taken from (and added to) cache
-// instead of being rebuilt. The cache changes cost only, never results —
-// cached objects are bit-identical to freshly built ones — so a warm fit
-// is bitwise equal to a cold one. A nil cache degrades to FitCtx.
-func FitCache(ctx context.Context, spec Spec, xs [][]float64, y []float64, opt Options, cache *BasisCache) (*Model, error) {
 	if spec.Link == "" {
 		spec.Link = Identity
 	}
@@ -97,7 +88,7 @@ func FitCache(ctx context.Context, spec Spec, xs [][]float64, y []float64, opt O
 	if len(xs) != len(y) {
 		return nil, fmt.Errorf("gam: %d rows but %d targets", len(xs), len(y))
 	}
-	d, err := buildDesign(spec, xs, cache)
+	d, err := buildDesign(spec, xs)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +107,7 @@ func FitCache(ctx context.Context, spec Spec, xs [][]float64, y []float64, opt O
 		}
 	}
 
-	s := d.penaltyMatrix(cache)
+	s := d.penaltyMatrix()
 	// fitKey identifies this fit invocation to the fault injector
 	// (robust.ScopeFit ordinal). FitCtx calls are sequential within a
 	// pipeline, so the ordinal — and with it every injection decision —

@@ -15,6 +15,31 @@ func (m *Model) Link() Link { return m.spec.Link }
 // Report returns the smoothing-parameter search summary.
 func (m *Model) Report() FitReport { return m.report }
 
+// NumCoef returns p, the number of coefficients (intercept included).
+func (m *Model) NumCoef() int { return len(m.beta) }
+
+// SizeBytes approximates the model's resident bytes: the p×p Cholesky
+// factor behind its credible intervals, plus β, the column and term
+// means, and every term's knots and factor levels.
+//
+//lint:ignore obsspan sums slice lengths over a handful of terms; no work loop worth a span
+func (m *Model) SizeBytes() int64 {
+	p := int64(len(m.beta))
+	words := 2*p + int64(len(m.termMeans))
+	if m.chol != nil {
+		words += p * p
+	}
+	for _, bt := range m.design.terms {
+		words += int64(len(bt.levels))
+		for _, bs := range []*bspline{bt.bs, bt.bs2} {
+			if bs != nil {
+				words += int64(len(bs.knots))
+			}
+		}
+	}
+	return words*8 + 256
+}
+
 // NumTerms returns the number of additive terms (excluding the intercept).
 func (m *Model) NumTerms() int { return len(m.design.terms) }
 

@@ -109,6 +109,51 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestWarmGAMExplainIsFitHit: a repeated gam explain is served from the
+// engine's fit-stage cache — /v1/stats moves fit hits by exactly one and
+// fit misses by zero — and returns a byte-identical explanation blob,
+// with and without credible intervals.
+func TestWarmGAMExplainIsFitHit(t *testing.T) {
+	for _, ci := range []bool{false, true} {
+		t.Run(fmt.Sprintf("include_ci=%v", ci), func(t *testing.T) {
+			_, ts, fp := newTestServer(t, Options{})
+			req := explainRequest{Fingerprint: fp, Config: fastConfig(), IncludeCI: ci}
+			explain := func() json.RawMessage {
+				resp, payload := doJSON(t, http.MethodPost, ts.URL+"/v1/explain", "", req)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("explain: status %d, body %s", resp.StatusCode, payload)
+				}
+				var out explainResponse
+				if err := json.Unmarshal(payload, &out); err != nil {
+					t.Fatal(err)
+				}
+				return out.Explanation
+			}
+			fitStats := func() core.StageCacheStats {
+				resp, payload := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", "", nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("stats: status %d, body %s", resp.StatusCode, payload)
+				}
+				var st Stats
+				if err := json.Unmarshal(payload, &st); err != nil {
+					t.Fatal(err)
+				}
+				return st.Engine.Stages["fit"]
+			}
+			cold := explain()
+			before := fitStats()
+			warm := explain()
+			after := fitStats()
+			if !bytes.Equal(cold, warm) {
+				t.Error("warm explanation blob differs from the cold one")
+			}
+			if after.Hits-before.Hits != 1 || after.Misses != before.Misses {
+				t.Errorf("warm explain moved fit stats %+v → %+v, want +1 hit and no miss", before, after)
+			}
+		})
+	}
+}
+
 func TestExplainUnknownForest(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{})
 	resp, payload := doJSON(t, http.MethodPost, ts.URL+"/v1/explain", "",

@@ -20,6 +20,13 @@ go run ./cmd/geflint -json -bench BENCH_lint.json ./...
 
 go test ./...
 
+# Benchmark smoke: perfbench is its own module (it lives under the
+# benchmark's paths), so the root `go test ./...` skips it. Its tests
+# run every workload at tiny sizes and require byte-identical hot keys,
+# shap local accuracy, zero failed ops and metric names matching
+# BENCHMARK.json.
+(cd perfbench && go test ./...)
+
 # Fault-injection gate: the deterministic injector must turn every
 # planned fault into a recovery, a recorded degradation, or a typed
 # taxonomy error — run explicitly so a -run filter in local workflows
@@ -64,14 +71,17 @@ done
 # keeps internal/core (and the root package, whose session tests share
 # one engine across calls) in the raced set, and the "gef/internal/serve"
 # pattern pulls in cmd/gefd and cmd/gefd/loadgen, whose own sources are
-# thin flag-parsing shells around the raced serve package.
-race_pkgs=$(grep -rl --include='*.go' --exclude-dir=testdata \
+# thin flag-parsing shells around the raced serve package. perfbench is
+# a module of its own, which the root module cannot test, so it is
+# raced from its own directory instead.
+race_pkgs=$(grep -rl --include='*.go' --exclude-dir=testdata --exclude-dir=perfbench \
 	-E 'go func|[^a-zA-Z0-9_.]sync\.|"sync/atomic"|[^a-zA-Z0-9_.]atomic\.|"gef/internal/par"|"gef/internal/robust"|"gef/internal/serve"' . |
 	xargs -r -n1 dirname | sort -u)
 if [ -n "${race_pkgs}" ]; then
 	# shellcheck disable=SC2086 # word splitting is the point
 	go test -race ${race_pkgs}
 fi
+(cd perfbench && go test -race ./...)
 
 # The flight recorder and labeled-vector registry are the always-on
 # telemetry every run depends on; race them explicitly so a -run filter
