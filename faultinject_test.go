@@ -172,9 +172,9 @@ func TestFaultInjectionRidgeRecovery(t *testing.T) {
 
 // TestFaultInjectionIRLSStepHalving poisons the first step of P-IRLS
 // iteration 1 (level 1.0 < 1.1) but lets the halved re-evaluations
-// (level ≥ 1.25) through, so step-halving must recover the λ. The
-// unconditional variant poisons every evaluation, so every λ diverges
-// and the grid failure surfaces as ErrNumerical.
+// (level ≥ 1.25) through, so step-halving must recover the step. The
+// unconditional variant poisons every evaluation, so the P-IRLS
+// iteration diverges, counts pirls_diverged and surfaces ErrNumerical.
 func TestFaultInjectionIRLSStepHalving(t *testing.T) {
 	ds, y := logitFixture(600, 23)
 	spec := gam.Spec{
@@ -204,12 +204,17 @@ func TestFaultInjectionIRLSStepHalving(t *testing.T) {
 		}
 	})
 	t.Run("forced divergence", func(t *testing.T) {
+		diverged := obs.Metrics().CounterVec("gam.numerical_warnings", "kind").With("pirls_diverged")
+		before := diverged.Value()
 		withInjector(t, robust.NewInjector(1, robust.FailAlways(robust.SiteIRLS, -1)), func() {
 			_, err := gam.Fit(spec, ds.X, y, opt)
 			if !errors.Is(err, robust.ErrNumerical) {
-				t.Fatalf("want ErrNumerical when every λ diverges, got %v", err)
+				t.Fatalf("want ErrNumerical when P-IRLS diverges, got %v", err)
 			}
 		})
+		if diverged.Value() <= before {
+			t.Fatal("gam.numerical_warnings{kind=\"pirls_diverged\"} did not increase")
+		}
 	})
 }
 

@@ -489,7 +489,7 @@ type SpanAttr = obs.Attr
 
 // SetTraceSink installs the process-wide trace sink. With a sink
 // installed, Explain/AutoExplain/TrainForest/FitGAM emit one span per
-// pipeline stage (per-λ GCV evaluations included). Pass nil to disable
+// pipeline stage (P-IRLS iterations included). Pass nil to disable
 // tracing; a disabled pipeline is byte-identical in output and
 // effectively free.
 func SetTraceSink(s TraceSink) { obs.SetSink(s) }

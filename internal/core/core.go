@@ -250,8 +250,9 @@ func Explain(f *forest.Forest, cfg Config) (*Explanation, error) {
 // ExplainCtx is Explain with context propagation: each pipeline stage
 // opens an obs span under the caller's span, so traces show feature
 // selection, domain construction, D* sampling/labelling, interaction
-// ranking and the GAM fit (with per-λ children) individually. Runs on
-// the shared process-wide engine; use NewEngine for an isolated cache.
+// ranking and the GAM fit (with its P-IRLS iterations) individually.
+// Runs on the shared process-wide engine; use NewEngine for an isolated
+// cache.
 func ExplainCtx(ctx context.Context, f *forest.Forest, cfg Config) (*Explanation, error) {
 	return shared.ExplainCtx(ctx, f, cfg)
 }

@@ -60,7 +60,7 @@ func TestExplainObservationIdentity(t *testing.T) {
 
 	// The traced run must have emitted the stage spans ISSUE-level
 	// acceptance cares about: the root, the GAM fit, and its per-λ GCV
-	// children.
+	// events.
 	seen := map[string]int{}
 	for _, sp := range ms.Spans() {
 		seen[sp.Name]++

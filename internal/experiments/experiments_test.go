@@ -287,6 +287,22 @@ func TestFig10Quick(t *testing.T) {
 	if len(r.Tables[0].Rows) == 0 {
 		t.Fatal("fig10 produced no terms")
 	}
+	// The census logit GAM must reach the committed fidelity on D*
+	// (results/quick_output.txt: R² 0.8986); P-IRLS step control that
+	// truncates the λ search drops it to ~0.85.
+	var r2Found bool
+	for _, n := range r.Notes {
+		if strings.HasPrefix(n, "fidelity on D*") {
+			r2Found = true
+			fields := strings.Fields(n)
+			if r2 := parseF(t, fields[len(fields)-1]); r2 < 0.89 {
+				t.Errorf("fig10 fidelity R² on D* = %v, want ≥ 0.89", r2)
+			}
+		}
+	}
+	if !r2Found {
+		t.Error("fig10 missing the fidelity-on-D* note")
+	}
 	// The education-num trend note must be present and positive when the
 	// feature is selected.
 	for _, n := range r.Notes {

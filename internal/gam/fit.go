@@ -21,7 +21,8 @@ var (
 	// mNumWarn counts numerical-conditioning warnings, labeled by kind
 	// (negative_rss clamps, nonpositive_gcv_denominator, pirls_diverged).
 	// A non-zero series in -metrics-out means some λ evaluations ran on
-	// the edge of ill-conditioning even if the chosen fit is healthy.
+	// the edge of ill-conditioning even if the chosen fit is healthy;
+	// pirls_diverged means a logit fit failed.
 	mNumWarn = obs.Metrics().CounterVec("gam.numerical_warnings", "kind")
 )
 
@@ -34,7 +35,8 @@ var (
 // intercept during post-fit centering).
 const ridgeScale = 1e-7
 
-// FitReport summarizes the smoothing-parameter search.
+// FitReport summarizes the smoothing-parameter search; for the logit
+// link it is the final P-IRLS iteration's search.
 type FitReport struct {
 	Lambda  float64   // chosen smoothing parameter
 	GCV     float64   // its GCV score
@@ -42,10 +44,9 @@ type FitReport struct {
 	Scale   float64   // estimated dispersion (σ² for identity link)
 	Lambdas []float64 // searched grid
 	GCVs    []float64 // per-grid GCV scores
-	IRLS    int       // P-IRLS iterations at the chosen λ (logit only)
-	// DevExplained is the fraction of (working) deviance the model
-	// explains at the optimum: 1 − RSS/TSS for the identity link,
-	// computed on the weighted working model for logit.
+	IRLS    int       // P-IRLS iterations of the fit (logit only)
+	// DevExplained is 1 − RSS/TSS at the optimum, identity link only
+	// (0 for logit).
 	DevExplained float64
 }
 
@@ -62,17 +63,19 @@ type Model struct {
 }
 
 // Fit fits the GAM described by spec to (xs, y), choosing the shared
-// smoothing parameter λ by GCV. Identity link: direct penalized least
-// squares on sufficient statistics. Logit link: penalized IRLS per λ with
-// GCV on the converged working model.
+// smoothing parameter λ by GCV over the grid. Identity link: one λ
+// search, penalized least squares on sufficient statistics. Logit link:
+// P-IRLS that re-runs the same λ search on each iteration's working
+// model (performance iteration).
 func Fit(spec Spec, xs [][]float64, y []float64, opt Options) (*Model, error) {
 	return FitCtx(context.Background(), spec, xs, y, opt)
 }
 
 // FitCtx is Fit with context propagation: the fit runs under a gam.fit
-// span carrying the design-matrix dimensions, with one gam.gcv child
-// span per λ-grid evaluation (λ, GCV, EDF, and P-IRLS iterations for the
-// logit link).
+// span carrying the design-matrix dimensions. Each λ search emits one
+// gam.gcv event per grid point (λ, GCV, EDF); for the logit link every
+// P-IRLS iteration runs under its own gam.pirls span carrying the
+// chosen λ, GCV, EDF and penalized deviance.
 func FitCtx(ctx context.Context, spec Spec, xs [][]float64, y []float64, opt Options) (*Model, error) {
 	if spec.Link == "" {
 		spec.Link = Identity
@@ -291,13 +294,28 @@ type gcvResult struct {
 	chol   *linalg.Cholesky
 }
 
-func fitGaussian(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, y []float64, opt Options, fitKey int) (*Model, error) {
+// lambdaSearch is the outcome of one GCV search over the λ grid.
+type lambdaSearch struct {
+	report FitReport // Lambda, GCV, EDF, Scale, Lambdas, GCVs
+	beta   []float64
+	chol   *linalg.Cholesky
+	rss    float64 // (weighted) RSS at the chosen λ, clamped at 0
+	ztz    float64 // zᵀWz
+}
+
+// searchLambda is the λ search for both links: it fits the penalized
+// (weighted) least-squares model of z on the design for every λ of the
+// grid and keeps the GCV minimizer. w = nil means unit weights (the
+// identity link); the logit link passes its P-IRLS working weights and
+// responses, so λ is re-selected on each working model (performance
+// iteration; Gu 1992, Wood 2006).
+func searchLambda(ctx context.Context, d *design, s *linalg.Matrix, w, z []float64, opt Options, fitKey int) (*lambdaSearch, error) {
 	_, asp := obs.Start(ctx, "gam.normal_equations", obs.Int("rows", d.n),
 		obs.Int("cols", d.p), obs.Int("workers", par.Workers()))
-	xtx, xty, yty, err := accumulateNormal(ctx, d, nil, y)
+	xtx, xtz, ztz, err := accumulateNormal(ctx, d, w, z)
 	asp.End()
 	if err != nil {
-		return nil, err
+		return nil, robust.CtxErr(err)
 	}
 	n := float64(d.n)
 
@@ -317,9 +335,9 @@ func fitGaussian(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, y 
 			results[g] = gcvResult{skip: "factorization failed"}
 			return // skip numerically hopeless λ
 		}
-		beta := ch.Solve(xty)
+		beta := ch.Solve(xtz)
 		edf := ch.TraceSolve(xtx)
-		rawRSS := yty - 2*linalg.Dot(beta, xty) + quadForm(xtx, beta)
+		rawRSS := ztz - 2*linalg.Dot(beta, xtz) + quadForm(xtx, beta)
 		rss := rawRSS
 		if rss < 0 {
 			rss = 0
@@ -345,9 +363,8 @@ func fitGaussian(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, y 
 	}
 
 	sp := obs.FromContext(ctx)
-	best := FitReport{GCV: math.Inf(1)}
-	var bestBeta []float64
-	var bestChol *linalg.Cholesky
+	res := &lambdaSearch{report: FitReport{GCV: math.Inf(1)}, ztz: ztz}
+	best := &res.report
 	for g, lambda := range opt.Lambdas {
 		r := results[g]
 		if r.ridge > 0 {
@@ -384,231 +401,181 @@ func fitGaussian(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, y 
 			best.Lambda = lambda
 			best.EDF = r.edf
 			best.Scale = r.rss / (n - r.edf)
-			bestBeta = r.beta
-			bestChol = r.chol
+			res.beta = r.beta
+			res.chol = r.chol
+			res.rss = r.rss
 		}
 	}
-	if bestBeta == nil {
+	if res.beta == nil {
 		return nil, fmt.Errorf("gam: no λ in the grid produced a solvable system: %w", robust.ErrNumerical)
 	}
+	return res, nil
+}
+
+func fitGaussian(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, y []float64, opt Options, fitKey int) (*Model, error) {
+	ls, err := searchLambda(ctx, d, s, nil, y, opt, fitKey)
+	if err != nil {
+		return nil, err
+	}
 	// Deviance explained: 1 − RSS/TSS at the optimum.
+	n := float64(d.n)
 	mean := 0.0
 	for _, v := range y {
 		mean += v
 	}
 	mean /= n
-	tss := yty - n*mean*mean
-	if tss > 0 {
-		rss := yty - 2*linalg.Dot(bestBeta, xty) + quadForm(xtx, bestBeta)
-		if rss < 0 {
-			rss = 0
-		}
-		best.DevExplained = 1 - rss/tss
+	if tss := ls.ztz - n*mean*mean; tss > 0 {
+		ls.report.DevExplained = 1 - ls.rss/tss
 	}
-	return &Model{spec: spec, design: d, beta: bestBeta, chol: bestChol, report: best}, nil
+	return &Model{spec: spec, design: d, beta: ls.beta, chol: ls.chol, report: ls.report}, nil
 }
 
 // maxHalvings bounds the P-IRLS step-halving recovery: a step whose
-// deviance still increases after this many halvings toward the previous
-// iterate is declared divergent and the λ is skipped.
+// penalized deviance still increases after this many halvings toward
+// the previous iterate is declared divergent and the fit fails.
 const maxHalvings = 3
 
+// fitLogit runs P-IRLS by performance iteration: each iteration
+// reweights, re-selects λ by GCV on the working model (searchLambda),
+// and takes the chosen λ's solution as the candidate step. Step control
+// compares the penalized deviance D(β) + λβᵀSβ of the candidate and of
+// the previous iterate at the same λ, with a Tol-relative slack for
+// round-off; a step that still increases after maxHalvings halvings
+// fails the fit with ErrNumerical, which core's structural ladder
+// handles.
 func fitLogit(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, y []float64, opt Options, fitKey int) (*Model, error) {
-	n := float64(d.n)
-	best := FitReport{GCV: math.Inf(1)}
-	var bestBeta []float64
-	var bestChol *linalg.Cholesky
-
 	eta := make([]float64, d.n)
 	w := make([]float64, d.n)
 	z := make([]float64, d.n)
-	// The λ loop itself stays serial (each grid point is a full P-IRLS
-	// run; the parallelism lives inside the iteration's row loops), so a
-	// single scratch matrix serves every λ and every iteration.
-	scratch := linalg.NewMatrix(d.p, d.p)
-	for _, lambda := range opt.Lambdas {
-		_, lsp := obs.Start(ctx, "gam.gcv", obs.F64("lambda", lambda),
-			obs.Int("workers", par.Workers()))
-		mGCVEvals.Inc()
-		// Warm-startable P-IRLS; initialize from the data each time for
-		// reproducibility across grids.
-		for i, yi := range y {
-			mu := 0.5*yi + 0.25
-			eta[i] = math.Log(mu / (1 - mu))
+	for i, yi := range y {
+		mu := 0.5*yi + 0.25
+		eta[i] = math.Log(mu / (1 - mu))
+	}
+	var ls *lambdaSearch
+	var beta []float64       // accepted iterate
+	prevDev := math.Inf(1)   // its binomial deviance
+	lastDelta := math.Inf(1) // penalized-deviance change of the last step
+	iters := 0
+	// step runs P-IRLS iteration it under one gam.pirls span and reports
+	// whether the penalized deviance converged.
+	step := func(it int) (bool, error) {
+		ictx, isp := obs.Start(ctx, "gam.pirls", obs.Int("iter", it))
+		defer isp.End()
+		// Reweighting writes disjoint rows of w/z — parallel over fixed
+		// row chunks.
+		if err := par.For(ctx, d.n, 0, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				mu := sigmoid(eta[i])
+				// Clamp fitted probabilities away from 0/1 so the working
+				// weights stay bounded and extreme rows cannot dominate
+				// the working RSS.
+				if mu < 1e-5 {
+					mu = 1e-5
+				} else if mu > 1-1e-5 {
+					mu = 1 - 1e-5
+				}
+				wi := mu * (1 - mu)
+				w[i] = wi
+				z[i] = eta[i] + (y[i]-mu)/wi
+			}
+		}); err != nil {
+			return false, robust.CtxErr(err)
 		}
-		var beta []float64
-		var ch *linalg.Cholesky
-		var edf, wrss, lastDelta float64
-		prevDev := math.Inf(1)
-		prevBeta := make([]float64, d.p)
-		iters := 0
-		diverged := false
-		// evalDev updates eta for candidate b and returns the binomial
-		// deviance; disjoint eta rows, chunk-ordered fold — bitwise-stable.
-		// robust.SiteIRLS injection (level = it + 0.25·halvings) replaces
-		// the result with a spurious increase to force the divergence
-		// recovery path.
-		evalDev := func(b []float64, it, halvings int) (float64, error) {
+		var err error
+		if ls, err = searchLambda(ictx, d, s, w, z, opt, fitKey); err != nil {
+			return false, err
+		}
+		lambda := ls.report.Lambda
+		prevP := math.Inf(1) // previous iterate's penalized deviance at λ
+		if beta != nil {
+			prevP = prevDev + lambda*quadForm(s, beta)
+		}
+		slack := opt.Tol * (math.Abs(prevP) + 1)
+		cand := ls.beta
+		// evalP updates eta for the candidate and returns its binomial
+		// and penalized deviance; disjoint eta rows, chunk-ordered fold —
+		// bitwise-stable. robust.SiteIRLS injection (level = it +
+		// 0.25·halvings) replaces the penalized deviance with a spurious
+		// increase to force the step-halving path.
+		evalP := func(halvings int) (float64, float64, error) {
 			dev, err := par.MapReduce(ctx, d.n, 0,
 				func(_, lo, hi int) float64 {
 					var chunkDev float64
 					for i := lo; i < hi; i++ {
-						eta[i] = d.rowDot(i, b)
+						eta[i] = d.rowDot(i, cand)
 						chunkDev += binomialDeviance(y[i], sigmoid(eta[i]))
 					}
 					return chunkDev
 				},
 				func(a, b float64) float64 { return a + b })
 			if err != nil {
-				return 0, err
+				return 0, 0, robust.CtxErr(err)
 			}
-			if !math.IsInf(prevDev, 1) &&
-				robust.Fire(robust.SiteIRLS, fitKey, float64(it)+0.25*float64(halvings)) {
-				dev = math.Abs(prevDev)*2 + 1
+			pdev := dev + lambda*quadForm(s, cand)
+			if beta != nil && robust.Fire(robust.SiteIRLS, fitKey, float64(it)+0.25*float64(halvings)) {
+				pdev = math.Abs(prevP)*2 + 1
 			}
-			return dev, nil
+			return dev, pdev, nil
 		}
-		for it := 0; it < opt.MaxIRLS; it++ {
-			iters = it + 1
-			// Reweighting writes disjoint rows of w/z — parallel over
-			// fixed row chunks.
-			if err := par.For(ctx, d.n, 0, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					mu := sigmoid(eta[i])
-					// Clamp fitted probabilities away from 0/1 so the working
-					// weights stay bounded and extreme rows cannot dominate
-					// the working RSS.
-					if mu < 1e-5 {
-						mu = 1e-5
-					} else if mu > 1-1e-5 {
-						mu = 1 - 1e-5
-					}
-					wi := mu * (1 - mu)
-					w[i] = wi
-					z[i] = eta[i] + (y[i]-mu)/wi
-				}
-			}); err != nil {
-				lsp.End()
-				return nil, robust.CtxErr(err)
+		dev, pdev, err := evalP(0)
+		if err != nil {
+			return false, err
+		}
+		// Divergence recovery: a step that increases the penalized
+		// deviance is halved toward the previous iterate (Wood 2006
+		// §3.2.2-style step control) before the fit is given up on.
+		halvings := 0
+		for pdev > prevP+slack && halvings < maxHalvings {
+			halvings++
+			for j := range cand {
+				cand[j] = 0.5 * (cand[j] + beta[j])
 			}
-			xtwx, xtwz, _, accErr := accumulateNormal(ctx, d, w, z)
-			if accErr != nil {
-				lsp.End()
-				return nil, robust.CtxErr(accErr)
-			}
-			var ridge float64
-			var err error
-			ch, ridge, err = factorizeRecover(scratch, xtwx, s, lambda, fitKey)
-			if err != nil {
-				ch = nil
-				break
-			}
-			if ridge > 0 {
-				lsp.Event("gam.recovery", obs.Str("action", robust.ActionRidgeEscalation),
-					obs.F64("ridge", ridge), obs.Int("iter", it))
-			}
-			cand := ch.Solve(xtwz)
-			dev, devErr := evalDev(cand, it, 0)
-			if devErr != nil {
-				lsp.End()
-				return nil, robust.CtxErr(devErr)
-			}
-			// Divergence recovery: a step that increases the deviance is
-			// halved toward the previous iterate (Wood 2006 §3.2.2-style
-			// step control) before the λ is given up on.
-			halvings := 0
-			for dev > prevDev && halvings < maxHalvings {
-				halvings++
-				for j := range cand {
-					cand[j] = 0.5 * (cand[j] + prevBeta[j])
-				}
-				dev, devErr = evalDev(cand, it, halvings)
-				if devErr != nil {
-					lsp.End()
-					return nil, robust.CtxErr(devErr)
-				}
-			}
-			if halvings > 0 {
-				if dev > prevDev {
-					diverged = true
-					mNumWarn.With("pirls_diverged").Inc()
-					lsp.Event("gam.numerical_warning", obs.Str("kind", "pirls_diverged"),
-						obs.Int("iter", it), obs.F64("raw", dev), obs.F64("prev_dev", prevDev))
-					break
-				}
-				robust.Recovered()
-				lsp.Event("gam.recovery", obs.Str("action", robust.ActionStepHalving),
-					obs.Int("iter", it), obs.Int("halvings", halvings))
-			}
-			beta = cand
-			copy(prevBeta, beta)
-			lastDelta = math.Abs(prevDev - dev)
-			if lastDelta < opt.Tol*(math.Abs(dev)+1) {
-				edf = ch.TraceSolve(xtwx)
-				wrss = weightedRSS(d, w, z, beta)
-				break
-			}
-			prevDev = dev
-			if it == opt.MaxIRLS-1 {
-				edf = ch.TraceSolve(xtwx)
-				wrss = weightedRSS(d, w, z, beta)
+			if dev, pdev, err = evalP(halvings); err != nil {
+				return false, err
 			}
 		}
-		mIRLSIters.Observe(float64(iters))
-		if !math.IsInf(lastDelta, 0) {
-			mIRLSDelta.Observe(lastDelta)
+		isp.Set(obs.F64("lambda", lambda), obs.F64("gcv", ls.report.GCV),
+			obs.F64("edf", ls.report.EDF), obs.F64("pdev", pdev))
+		if beta != nil {
+			isp.Set(obs.F64("prev_pdev", prevP))
 		}
-		if diverged {
-			lsp.Set(obs.Str("skip", "pirls diverged"))
-			lsp.End()
-			continue
+		if halvings > 0 {
+			if pdev > prevP+slack {
+				mNumWarn.With("pirls_diverged").Inc()
+				isp.Event("gam.numerical_warning", obs.Str("kind", "pirls_diverged"),
+					obs.Int("iter", it), obs.F64("raw", pdev), obs.F64("prev_pdev", prevP))
+				return false, fmt.Errorf("gam: P-IRLS diverged at iteration %d (λ=%g) after %d step halvings: %w",
+					it, lambda, maxHalvings, robust.ErrNumerical)
+			}
+			robust.Recovered()
+			isp.Event("gam.recovery", obs.Str("action", robust.ActionStepHalving),
+				obs.Int("iter", it), obs.Int("halvings", halvings))
 		}
-		if ch == nil || beta == nil {
-			lsp.Set(obs.Str("skip", "factorization failed"))
-			lsp.End()
-			continue
+		beta, prevDev = cand, dev
+		lastDelta = math.Abs(prevP - pdev)
+		return lastDelta < opt.Tol*(math.Abs(pdev)+1), nil
+	}
+	for it := 0; it < opt.MaxIRLS; it++ {
+		iters = it + 1
+		converged, err := step(it)
+		if err != nil {
+			return nil, err
 		}
-		denom := n - edf
-		if denom <= 0 {
-			mNumWarn.With("nonpositive_gcv_denominator").Inc()
-			lsp.Event("gam.numerical_warning", obs.Str("kind", "nonpositive_gcv_denominator"),
-				obs.F64("raw", denom))
-			lsp.Set(obs.Str("skip", "edf exceeds n"))
-			lsp.End()
-			continue
-		}
-		gcv := n * wrss / (denom * denom)
-		lsp.Set(obs.F64("gcv", gcv), obs.F64("edf", edf),
-			obs.Int("irls_iters", iters), obs.F64("dev_delta", lastDelta))
-		lsp.End()
-		best.Lambdas = append(best.Lambdas, lambda)
-		best.GCVs = append(best.GCVs, gcv)
-		if gcv < best.GCV {
-			best.GCV = gcv
-			best.Lambda = lambda
-			best.EDF = edf
-			best.Scale = wrss / denom
-			best.IRLS = iters
-			bestBeta = beta
-			bestChol = ch
+		if converged {
+			break
 		}
 	}
-	if bestBeta == nil {
-		return nil, fmt.Errorf("gam: P-IRLS failed for every λ in the grid: %w", robust.ErrNumerical)
+	mIRLSIters.Observe(float64(iters))
+	if !math.IsInf(lastDelta, 0) {
+		mIRLSDelta.Observe(lastDelta)
 	}
-	// Binomial dispersion is 1 by GLM convention (as in pyGAM/mgcc);
-	// the working-residual estimate only drives the GCV comparison.
-	best.Scale = 1
-	return &Model{spec: spec, design: d, beta: bestBeta, chol: bestChol, report: best}, nil
-}
-
-func weightedRSS(d *design, w, z, beta []float64) float64 {
-	var rss float64
-	for i := 0; i < d.n; i++ {
-		r := z[i] - d.rowDot(i, beta)
-		rss += w[i] * r * r
-	}
-	return rss
+	// The chosen λ, EDF, GCV trace and factor are the final iteration's
+	// search. Binomial dispersion is 1 by GLM convention (as in
+	// pyGAM/mgcv); the working-model estimate only drives GCV.
+	report := ls.report
+	report.Scale = 1
+	report.IRLS = iters
+	return &Model{spec: spec, design: d, beta: beta, chol: ls.chol, report: report}, nil
 }
 
 // binomialDeviance is the deviance contribution of one observation,

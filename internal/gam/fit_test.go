@@ -22,6 +22,22 @@ func gen1D(n int, f func(float64) float64, noise float64, seed int64) ([][]float
 	return xs, y
 }
 
+// logitClasses draws n uniform x with Bernoulli labels of probability
+// sigmoid(slope·(x − 0.5)).
+func logitClasses(n int, slope float64, seed int64) ([][]float64, []float64) {
+	r := rand.New(rand.NewSource(seed))
+	xs := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range xs {
+		x := r.Float64()
+		xs[i] = []float64{x}
+		if r.Float64() < sigmoid(slope*(x-0.5)) {
+			y[i] = 1
+		}
+	}
+	return xs, y
+}
+
 func TestFitRecoversLinear(t *testing.T) {
 	xs, y := gen1D(500, func(x float64) float64 { return 2*x + 1 }, 0.05, 1)
 	m, err := Fit(Spec{Terms: []TermSpec{{Kind: Spline, Feature: 0}}}, xs, y, Options{})
@@ -223,18 +239,7 @@ func TestTensorTermCapturesInteraction(t *testing.T) {
 }
 
 func TestFitLogitClassification(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	n := 2000
-	xs := make([][]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := r.Float64()
-		xs[i] = []float64{x}
-		p := sigmoid(8 * (x - 0.5))
-		if r.Float64() < p {
-			y[i] = 1
-		}
-	}
+	xs, y := logitClasses(2000, 8, 9)
 	m, err := Fit(Spec{Terms: []TermSpec{{Kind: Spline, Feature: 0}}, Link: Logit}, xs, y,
 		Options{Lambdas: LogSpace(1e-2, 1e4, 9)})
 	if err != nil {
@@ -469,17 +474,7 @@ func TestGCVChoosesMoreSmoothingForNoisierData(t *testing.T) {
 // finite input, including points far outside the training domain (the
 // basis clamps to its boundary).
 func TestLogitPredictionsBoundedProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(25))
-	n := 800
-	xs := make([][]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := r.Float64()
-		xs[i] = []float64{x}
-		if r.Float64() < sigmoid(6*(x-0.5)) {
-			y[i] = 1
-		}
-	}
+	xs, y := logitClasses(800, 6, 25)
 	m, err := Fit(Spec{Terms: []TermSpec{{Kind: Spline, Feature: 0}}, Link: Logit}, xs, y,
 		Options{Lambdas: []float64{0.1, 10}})
 	if err != nil {

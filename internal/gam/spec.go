@@ -76,7 +76,8 @@ type Options struct {
 	// Lambdas is the GCV search grid for the shared smoothing parameter.
 	// Default: 25 log-spaced values in [1e−4, 1e6].
 	Lambdas []float64
-	// MaxIRLS bounds the P-IRLS iterations for the logit link (default 25).
+	// MaxIRLS bounds the P-IRLS iterations for the logit link (default
+	// 25, also used for values ≤ 0).
 	MaxIRLS int
 	// Tol is the relative deviance-change convergence threshold for
 	// P-IRLS (default 1e-6).
@@ -87,7 +88,7 @@ func (o Options) withDefaults() Options {
 	if len(o.Lambdas) == 0 {
 		o.Lambdas = LogSpace(1e-4, 1e6, 25)
 	}
-	if o.MaxIRLS == 0 {
+	if o.MaxIRLS <= 0 {
 		o.MaxIRLS = 25
 	}
 	if o.Tol == 0 {

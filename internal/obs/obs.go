@@ -7,7 +7,7 @@
 //
 //   - Spans measure the *macro* structure — one span per pipeline stage
 //     (feature selection, domain construction, D* generation, interaction
-//     ranking, GAM fit, per-λ GCV evaluations). Spans carry wall time,
+//     ranking, GAM fit, P-IRLS iterations). Spans carry wall time,
 //     heap-allocation deltas (runtime.MemStats) and key/value attributes,
 //     and are emitted to a pluggable Sink (no-op by default, human text,
 //     or JSON-lines for machine analysis).

@@ -21,10 +21,12 @@ const (
 	// escalation rescue the fit.
 	SiteCholesky Site = "gam.cholesky"
 	// SiteIRLS forces P-IRLS divergence in the logit fit: a firing
-	// deviance evaluation reports an increase. key = fit ordinal;
-	// level = iteration + 0.25·halvings, so FailBelow(…, it+0.1)
-	// poisons the initial step of iterations < it but lets the
-	// step-halved re-evaluations through.
+	// penalized-deviance evaluation reports an increase over the
+	// previous iterate (iteration 0 has none and never fires).
+	// key = fit ordinal; level = iteration + 0.25·halvings, so
+	// FailBelow(…, it+0.1) poisons the initial step of iterations < it
+	// but lets the step-halved re-evaluations through; FailAlways makes
+	// iteration 1 diverge, which fails the fit with ErrNumerical.
 	SiteIRLS Site = "gam.pirls"
 	// SiteDomains forces sampling-domain collapse: the firing feature's
 	// domain construction fails with ErrDegenerate. key = feature

@@ -5,6 +5,7 @@ set -eux
 
 go build ./...
 go vet ./...
+bash -n bench_ab.sh
 
 # Static-analysis gate. geflint exits 0 when clean, 1 on any finding and
 # 2 on a load/internal error or an analyzer panic (reported loudly with
