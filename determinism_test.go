@@ -423,10 +423,10 @@ func TestFamilySurrogatesDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestFlatColdVsCompiledDeterministicAcrossWorkers extends the gate to
-// the SoA compilation states (ISSUE 8): a freshly compiled flat forest, a
-// fingerprint-cache-served one, and the quantized layout must all match
-// the serial pointer walk bitwise at every worker count — compilation
-// and cache state, like worker count, must be output-invisible.
+// the SoA compilation states: a freshly compiled flat forest and the one
+// sealed onto the trained forest must both match the serial pointer walk
+// bitwise at every worker count — compilation, like worker count, must
+// be output-invisible.
 func TestFlatColdVsCompiledDeterministicAcrossWorkers(t *testing.T) {
 	f, ds := trainFixtureForest(t)
 	rows := ds.X[:400]
@@ -437,16 +437,10 @@ func TestFlatColdVsCompiledDeterministicAcrossWorkers(t *testing.T) {
 		ref[i] = f.Predict(x)
 	}
 
-	cold := forest.Compile(f)
-	warm := forest.Compiled(f) // fingerprint-keyed cache entry
-	quant, err := forest.CompileQuantized(f)
-	if err != nil {
-		t.Fatal(err)
-	}
 	flats := []struct {
 		name string
 		fl   *forest.Flat
-	}{{"cold", cold}, {"compiled", warm}, {"quantized", quant}}
+	}{{"cold", forest.Compile(f)}, {"sealed", f.Flat()}}
 
 	var refImp []float64
 	atWorkers(t, 1, func() { refImp = shap.GlobalImportance(f, ds.X[:100]) })

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"gef/internal/dataset"
-	"gef/internal/forest"
 	"gef/internal/gbdt"
 	"gef/internal/obs"
 	"gef/internal/par"
@@ -32,12 +31,10 @@ import (
 
 // forestKernelRow is one batch-size measurement of the prediction kernels.
 type forestKernelRow struct {
-	Batch             int     `json:"batch"`
-	PointerNsPerRow   float64 `json:"pointer_ns_per_row"`
-	FlatNsPerRow      float64 `json:"flat_ns_per_row"`
-	QuantizedNsPerRow float64 `json:"quantized_ns_per_row"`
-	FlatSpeedup       float64 `json:"flat_speedup"`      // pointer / flat
-	QuantizedSpeedup  float64 `json:"quantized_speedup"` // pointer / quantized
+	Batch           int     `json:"batch"`
+	PointerNsPerRow float64 `json:"pointer_ns_per_row"`
+	FlatNsPerRow    float64 `json:"flat_ns_per_row"`
+	FlatSpeedup     float64 `json:"flat_speedup"` // pointer / flat
 }
 
 // forestStageRow is one end-to-end stage measurement.
@@ -109,11 +106,7 @@ func TestWriteForestBench(t *testing.T) {
 	if err != nil {
 		t.Fatalf("training fixture forest: %v", err)
 	}
-	fl := forest.Compiled(f)
-	fq, err := forest.CompiledQuantized(f)
-	if err != nil {
-		t.Fatalf("quantized compile: %v", err)
-	}
+	fl := f.Flat()
 
 	rep := forestBenchReport{
 		Name:     "gef-forest-bench",
@@ -125,8 +118,8 @@ func TestWriteForestBench(t *testing.T) {
 		NumTrees: len(f.Trees),
 	}
 
-	// Kernel sweep: same rows through the pointer walk and both flat
-	// layouts at each batch size.
+	// Kernel sweep: same rows through the pointer walk and the flat
+	// layout at each batch size.
 	out := make([]float64, 4096)
 	for _, batch := range []int{1, 64, 4096} {
 		rows := ds.X[:batch]
@@ -136,14 +129,11 @@ func TestWriteForestBench(t *testing.T) {
 			}
 		})
 		flat := nsPerRow(batch, func() { fl.PredictBatchInto(rows, out[:batch]) })
-		quant := nsPerRow(batch, func() { fq.PredictBatchInto(rows, out[:batch]) })
 		rep.Kernels = append(rep.Kernels, forestKernelRow{
-			Batch:             batch,
-			PointerNsPerRow:   ptr,
-			FlatNsPerRow:      flat,
-			QuantizedNsPerRow: quant,
-			FlatSpeedup:       speedupRatio(ptr, flat),
-			QuantizedSpeedup:  speedupRatio(ptr, quant),
+			Batch:           batch,
+			PointerNsPerRow: ptr,
+			FlatNsPerRow:    flat,
+			FlatSpeedup:     speedupRatio(ptr, flat),
 		})
 	}
 

@@ -47,7 +47,11 @@ import (
 
 // Forest is an additive ensemble of binary decision trees — the black-box
 // model GEF explains. Forests are produced by TrainForest /
-// TrainRandomForest or deserialized with LoadForest.
+// TrainRandomForest or deserialized with LoadForest, and come back
+// sealed: validated once, with their fingerprint stored and their flat
+// compilation attached (Forest.Seal; Explain seals any forest it is
+// handed). Do not modify a sealed forest — build a new one, as
+// Forest.Truncate does.
 type Forest = forest.Forest
 
 // Tree and Node expose the forest structure (GEF assumes full access to

@@ -105,15 +105,15 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 		obs.Int("max_interactions", cfg.MaxInteractions),
 		obs.F64("tolerance", cfg.Tolerance))
 	defer root.End()
-	if err := f.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("gef: invalid forest: %w", err)
+	p, err := e.newPipeline(f, base)
+	if err != nil {
+		return nil, nil, err
 	}
-	p := &pipeline{eng: e, f: f, fp: f.Fingerprint(), cfg: base}
 	if err := p.selectFeatures(ctx, cfg.MaxUnivariate); err != nil {
 		return nil, nil, err
 	}
 	if len(p.features) == 0 {
-		return nil, nil, fmt.Errorf("gef: forest has no split nodes to explain")
+		return nil, nil, fmt.Errorf("gef: forest has no split nodes to explain: %w", robust.ErrDegenerate)
 	}
 
 	// The domains stage walks the drop-feature ladder for degenerate

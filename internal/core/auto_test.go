@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"gef/internal/forest"
 	"gef/internal/gam"
 	"gef/internal/gbdt"
+	"gef/internal/robust"
 	"gef/internal/sampling"
 )
 
@@ -99,7 +101,7 @@ func TestAutoExplainSplitlessForest(t *testing.T) {
 		NumFeatures: 2,
 		Objective:   forest.Regression,
 	}
-	if _, _, err := AutoExplain(f, AutoConfig{Base: autoBase()}); err == nil {
-		t.Error("accepted splitless forest")
+	if _, _, err := AutoExplain(f, AutoConfig{Base: autoBase()}); !errors.Is(err, robust.ErrDegenerate) {
+		t.Errorf("splitless forest: err = %v, want ErrDegenerate", err)
 	}
 }

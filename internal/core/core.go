@@ -293,10 +293,10 @@ func (e *Engine) explainCtx(ctx context.Context, f *forest.Forest, cfg Config) (
 		}
 		return robust.CtxErr(ctx.Err())
 	}
-	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("gef: invalid forest: %w", err)
+	p, err := e.newPipeline(f, cfg)
+	if err != nil {
+		return nil, err
 	}
-	p := &pipeline{eng: e, f: f, fp: f.Fingerprint(), cfg: cfg}
 
 	// §3.2 — univariate selection F′ by accumulated gain.
 	if err := checkpoint(0); err != nil {

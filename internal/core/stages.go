@@ -53,6 +53,16 @@ type pipeline struct {
 	degr     []robust.Degradation
 }
 
+// newPipeline seals f — validation, fingerprint and flat compilation
+// happen once per forest, not once per call — and starts a pipeline
+// keyed by its stored fingerprint.
+func (e *Engine) newPipeline(f *forest.Forest, cfg Config) (*pipeline, error) {
+	if err := f.Seal(); err != nil {
+		return nil, fmt.Errorf("gef: invalid forest: %w", err)
+	}
+	return &pipeline{eng: e, f: f, fp: f.Fingerprint(), cfg: cfg}, nil
+}
+
 // forestStats is the per-forest artifact every downstream stage reads:
 // the threshold multisets (domains, spec construction), gain importances
 // and used-feature set (feature ranking). One forest walk per

@@ -63,7 +63,7 @@ type Result struct {
 // threshold-derived synthetic dataset.
 func Distill(f *forest.Forest, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if err := f.Validate(); err != nil {
+	if err := f.Seal(); err != nil {
 		return nil, fmt.Errorf("distill: invalid forest: %w", err)
 	}
 	used := f.UsedFeatures()

@@ -18,7 +18,18 @@ import (
 //
 // Feature names are deliberately excluded — they label outputs but never
 // influence any computed artifact.
+//
+// A sealed forest returns the digest Seal stored; an unsealed one is
+// hashed on every call.
 func (f *Forest) Fingerprint() string {
+	if s := f.seal.Load(); s != nil {
+		return s.fp
+	}
+	return f.fingerprint()
+}
+
+// fingerprint hashes every node of f (see Fingerprint).
+func (f *Forest) fingerprint() string {
 	h := fnv.New64a()
 	var buf [8]byte
 	wu := func(v uint64) {

@@ -3,7 +3,6 @@ package forest
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"gef/internal/obs"
@@ -20,10 +19,10 @@ import (
 // where the comparison materializes as a flag byte (UCOMISD+SETcc on
 // amd64), never a data-dependent jump: random 50/50 split outcomes cost
 // an add, not a ~15-cycle branch mispredict. The traversal-hot fields —
-// threshold, feature, kids and the quantized threshold code — are packed
-// into one 24-byte flatNode record (a third of the 72-byte Node struct);
-// cold fields (leaf value, cover, original node index) stay in separate
-// slices read only after walks finish.
+// threshold, feature and kids — are packed into one 16-byte flatNode
+// record (under a quarter of the 72-byte Node struct); cold fields (leaf
+// value, cover, original node index) stay in separate slices read only
+// after walks finish.
 //
 // Leaves are encoded as arithmetic self-loops: kids = own index − 1 and
 // threshold = +Inf, so the select yields le = 1 and the walk stays put —
@@ -31,12 +30,10 @@ import (
 // exactly the tree's precomputed max depth with no per-step leaf test.
 // The one input that breaks the le = 1 invariant is NaN (every float
 // comparison is false), so blocks containing NaN rows take the
-// early-exit scalar walk instead; both walks route identically, the
-// choice depends only on row contents, and the quantized mode needs no
-// fallback at all (NaN encodes as the maximal row code and leaves carry
-// code 65535). Kernels walk four rows abreast so the four independent
-// node→feature load chains overlap in the pipeline instead of
-// serializing on cache latency.
+// early-exit scalar walk instead; both walks route identically and the
+// choice depends only on row contents. Kernels walk four rows abreast so
+// the four independent node→feature load chains overlap in the pipeline
+// instead of serializing on cache latency.
 //
 // The layout is the tensorized-forest idea (split the node struct into
 // parallel arrays, amortize one tree walk over a batch of rows) applied
@@ -47,7 +44,8 @@ import (
 //
 // A Flat is immutable after compilation and safe for concurrent use.
 // Compile assumes a validated forest (Forest.Validate): child indices in
-// range and acyclic.
+// range and acyclic. A sealed forest carries its own Flat (Forest.Flat),
+// so every consumer of that forest shares one compilation.
 type Flat struct {
 	NumFeatures int
 	NumTrees    int
@@ -61,26 +59,15 @@ type Flat struct {
 	offset   []int32    // per tree: first node index; len NumTrees+1
 	maxDepth []int32    // per tree: max root-to-leaf depth
 	treeMean []float64  // per tree: cover-weighted mean leaf value (E[t])
-
-	// Quantized-threshold mode (CompileQuantized): per-feature sorted
-	// distinct threshold tables; each node's uint16 code rides in its
-	// flatNode. A row value is encoded once per feature as the
-	// lower-bound index into the table; the walk then compares integer
-	// codes, which routes bitwise identically to the float compare (see
-	// CompileQuantized).
-	cuts [][]float64 // per feature: sorted distinct thresholds; nil in float mode
 }
 
-// flatNode is the packed per-node traversal record: 24 bytes, so one
-// 64-byte cache line holds ~2.7 nodes and a 16-leaf tree's 31 nodes fit
-// in a dozen lines. The quantized threshold code lives in what would
-// otherwise be struct padding.
+// flatNode is the packed per-node traversal record: 16 bytes, so one
+// 64-byte cache line holds four nodes and a 16-leaf tree's 31 nodes fit
+// in eight lines.
 type flatNode struct {
 	threshold float64 // split threshold; +Inf for leaves
 	feature   int32   // split feature; 0 for leaves (never decisive)
 	kids      int32   // absolute right-child index (left at kids+1); own index − 1 for leaves
-	code      uint16  // quantized rank of threshold within cuts[feature]; 65535 for leaves
-	_         uint16
 }
 
 // rowBlock is the number of rows a batched kernel advances per tree
@@ -96,18 +83,12 @@ const rowBlock = 128
 // affect results.
 const branchlessDepthCutoff = 64
 
-// maxQuantCuts caps the distinct thresholds per feature the quantized
-// mode can encode: row codes span [0, cuts] inclusive and must fit in
-// uint16, so cuts ≤ 65534.
-const maxQuantCuts = math.MaxUint16 - 1
-
 // Metrics instruments (hoisted; see internal/obs). Compile cost lands
 // in forest.flat_compile_ms; kernel row counts are labeled by kernel so
 // the scrape separates leaf assignment from prediction traffic.
 var (
 	mFlatCompileMs = obs.Metrics().Histogram("forest.flat_compile_ms")
-	mFlatCompiles  = obs.Metrics().CounterVec("forest.flat_compiles", "mode")
-	mFlatCacheHits = obs.Metrics().CounterVec("forest.flat_cache_hits", "mode")
+	mFlatCompiles  = obs.Metrics().Counter("forest.flat_compiles")
 	mFlatKernel    = obs.Metrics().CounterVec("forest.flat_kernel_rows", "kernel")
 
 	mKernelLeaves  = mFlatKernel.With("leaves")
@@ -118,64 +99,15 @@ var (
 
 // Compile builds the structure-of-arrays representation of f. It walks
 // every node exactly once (plus one explicit-stack depth/mean pass per
-// tree) and performs no caching — see Compiled for the
-// fingerprint-keyed cache.
-func Compile(f *Forest) *Flat {
-	start := time.Now()
-	fl := compileBase(f)
-	mFlatCompileMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	mFlatCompiles.With("float").Inc()
-	return fl
-}
-
-// CompileQuantized builds a Flat whose traversal compares uint16
-// threshold codes instead of float64 thresholds. For each feature the
-// sorted distinct threshold table T is extracted; a node splitting at
-// T[c] stores code c, and a row value x encodes as
-// code(x) = lower_bound(T, x) — the first index with T[k] ≥ x. Then
+// tree) and keeps nothing: Forest.Seal attaches the one compilation a
+// sealed forest shares with every consumer.
 //
-//	x ≤ T[c]  ⇔  code(x) ≤ c
-//
-// exactly: c ≥ code(x) implies T[c] ≥ x by the lower-bound definition,
-// and c < code(x) implies T[c] < x. NaN row values encode as len(T)
-// (every comparison in the search is false), which routes right at
-// every split — the same path the float compare takes. Quantized
-// routing is therefore bitwise identical to the float path by
-// construction; the parity fuzz target verifies it leaf-for-leaf.
-//
-// Fails when any feature has more than 65534 distinct thresholds.
-func CompileQuantized(f *Forest) (*Flat, error) {
-	start := time.Now()
-	fl := compileBase(f)
-	fl.cuts = make([][]float64, f.NumFeatures)
-	for j, v := range f.ThresholdsByFeature() {
-		distinct := dedupeSortedCuts(v)
-		if len(distinct) > maxQuantCuts {
-			return nil, fmt.Errorf("forest: feature %d has %d distinct thresholds, quantized mode supports at most %d", j, len(distinct), maxQuantCuts)
-		}
-		fl.cuts[j] = distinct
-	}
-	for i := range fl.nodes {
-		n := &fl.nodes[i]
-		if n.kids < int32(i) {
-			continue // leaf: code stays 65535 so le = 1 and the self-loop holds
-		}
-		// The node's threshold is a member of its feature's table, so the
-		// lower bound lands exactly on it (== on bit-identical copies;
-		// −0.0/+0.0 aliasing is harmless because x ≤ −0.0 ⇔ x ≤ +0.0).
-		n.code = uint16(lowerBound(fl.cuts[n.feature], n.threshold))
-	}
-	mFlatCompileMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	mFlatCompiles.With("quantized").Inc()
-	return fl, nil
-}
-
-// compileBase fills the SoA arrays, offsets, max depths and tree means.
 // Within each tree, nodes are re-laid-out breadth-first with each
 // internal node's children adjacent (right first, so left = kids+1 —
 // matching the le ∈ {0,1} arithmetic select); orig records the original
 // in-tree index of every slot.
-func compileBase(f *Forest) *Flat {
+func Compile(f *Forest) *Flat {
+	start := time.Now()
 	total := f.NumNodes()
 	fl := &Flat{
 		NumFeatures: f.NumFeatures,
@@ -214,7 +146,7 @@ func compileBase(f *Forest) *Flat {
 			fl.cover[i] = n.Cover
 			fl.orig[i] = o
 			if n.IsLeaf() {
-				fl.nodes[i] = flatNode{threshold: math.Inf(1), kids: i - 1, code: math.MaxUint16}
+				fl.nodes[i] = flatNode{threshold: math.Inf(1), kids: i - 1}
 				fl.value[i] = n.Value
 			} else {
 				fl.nodes[i] = flatNode{
@@ -229,6 +161,8 @@ func compileBase(f *Forest) *Flat {
 		off += int32(len(nodes))
 	}
 	fl.offset[len(f.Trees)] = off
+	mFlatCompileMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+	mFlatCompiles.Inc()
 	return fl
 }
 
@@ -266,38 +200,6 @@ func treeMeanIter(nodes []Node) float64 {
 	}
 	return e[0]
 }
-
-// dedupeSortedCuts collapses exact duplicates in a sorted threshold
-// multiset (duplicates are bit-identical copies of the same split value,
-// so == is the right comparison).
-func dedupeSortedCuts(sorted []float64) []float64 {
-	out := make([]float64, 0, len(sorted))
-	for i, v := range sorted {
-		//lint:ignore floatcmp dedupe of sorted thresholds; duplicates are bit-identical copies
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// lowerBound returns the first index with cuts[k] ≥ x (len(cuts) when
-// none, including for NaN x: every comparison is false).
-func lowerBound(cuts []float64, x float64) int {
-	lo, hi := 0, len(cuts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cuts[mid] >= x {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// Quantized reports whether fl carries the uint16 threshold codes.
-func (fl *Flat) Quantized() bool { return fl.cuts != nil }
 
 // NumNodes returns the total node count across all trees.
 func (fl *Flat) NumNodes() int { return len(fl.nodes) }
@@ -410,13 +312,8 @@ func (fl *Flat) Predict(x []float64) float64 {
 // invariant, see the Flat doc comment) fall back to the early-exit
 // walk, which routes identically. The unroll only reorders independent
 // per-row walks, never any floating-point accumulation, so results are
-// identical at any block shape. cs is the quantized row-code scratch
-// (nil on the float path).
-func (fl *Flat) walkBlock(t int, rows [][]float64, idx []int32, cs []uint16, hasNaN bool) {
-	if cs != nil {
-		fl.walkBlockQ(t, idx, cs)
-		return
-	}
+// identical at any block shape.
+func (fl *Flat) walkBlock(t int, rows [][]float64, idx []int32, hasNaN bool) {
 	root := fl.offset[t]
 	nodes := fl.nodes
 	d := fl.maxDepth[t]
@@ -473,86 +370,6 @@ func (fl *Flat) walkBlock(t int, rows [][]float64, idx []int32, cs []uint16, has
 	}
 }
 
-// walkBlockQ is walkBlock over pre-encoded uint16 row codes: cs holds
-// len(idx) rows of NumFeatures codes each (see encodeBlock). Left iff
-// code(x) ≤ code(threshold) — exactly the float ≤ by the lower-bound
-// construction (see CompileQuantized). No NaN fallback is needed: NaN
-// encodes as len(cuts) ≤ 65534 and leaves carry code 65535, so le = 1
-// holds at every leaf for every input.
-func (fl *Flat) walkBlockQ(t int, idx []int32, cs []uint16) {
-	root := fl.offset[t]
-	nodes := fl.nodes
-	nf := fl.NumFeatures
-	d := fl.maxDepth[t]
-	if d > branchlessDepthCutoff {
-		for r := range idx {
-			i := root
-			row := cs[r*nf : (r+1)*nf]
-			for {
-				n := &nodes[i]
-				k := n.kids
-				if k < i {
-					break
-				}
-				if row[n.feature] <= n.code {
-					k++
-				}
-				i = k
-			}
-			idx[r] = i
-		}
-		return
-	}
-	r := 0
-	for ; r+4 <= len(idx); r += 4 {
-		c0 := cs[r*nf : (r+1)*nf]
-		c1 := cs[(r+1)*nf : (r+2)*nf]
-		c2 := cs[(r+2)*nf : (r+3)*nf]
-		c3 := cs[(r+3)*nf : (r+4)*nf]
-		i0, i1, i2, i3 := root, root, root, root
-		for k := d; k > 0; k-- {
-			n0 := &nodes[i0]
-			le0 := int32(0)
-			if c0[n0.feature] <= n0.code {
-				le0 = 1
-			}
-			i0 = n0.kids + le0
-			n1 := &nodes[i1]
-			le1 := int32(0)
-			if c1[n1.feature] <= n1.code {
-				le1 = 1
-			}
-			i1 = n1.kids + le1
-			n2 := &nodes[i2]
-			le2 := int32(0)
-			if c2[n2.feature] <= n2.code {
-				le2 = 1
-			}
-			i2 = n2.kids + le2
-			n3 := &nodes[i3]
-			le3 := int32(0)
-			if c3[n3.feature] <= n3.code {
-				le3 = 1
-			}
-			i3 = n3.kids + le3
-		}
-		idx[r], idx[r+1], idx[r+2], idx[r+3] = i0, i1, i2, i3
-	}
-	for ; r < len(idx); r++ {
-		row := cs[r*nf : (r+1)*nf]
-		i := root
-		for k := d; k > 0; k-- {
-			n := &nodes[i]
-			le := int32(0)
-			if row[n.feature] <= n.code {
-				le = 1
-			}
-			i = n.kids + le
-		}
-		idx[r] = i
-	}
-}
-
 // rowsHaveNaN reports whether any coordinate in the block is NaN — the
 // one input class the fixed-depth self-loop walk cannot route; such
 // blocks take the early-exit walk instead. The scan depends only on row
@@ -568,24 +385,6 @@ func rowsHaveNaN(rows [][]float64) bool {
 	return false
 }
 
-// encodeBlock quantizes a block of rows into cs: row r, feature j lands
-// at cs[r*NumFeatures+j]. One encode pass per block is amortized over
-// every tree walk in the block.
-func (fl *Flat) encodeBlock(rows [][]float64, cs []uint16) {
-	nf := fl.NumFeatures
-	for r, x := range rows {
-		base := r * nf
-		for j := 0; j < nf; j++ {
-			cuts := fl.cuts[j]
-			if len(cuts) == 0 {
-				cs[base+j] = 0
-				continue
-			}
-			cs[base+j] = uint16(lowerBound(cuts, x[j]))
-		}
-	}
-}
-
 // LeavesBatch evaluates every tree on every row and writes the absolute
 // leaf index of row r in tree t to out[r*NumTrees+t]. out must have
 // length len(xs)*NumTrees. Rows are processed in fixed-size blocks,
@@ -598,19 +397,13 @@ func (fl *Flat) LeavesBatch(xs [][]float64, out []int32) {
 	}
 	mKernelLeaves.Add(int64(len(xs)))
 	var idx [rowBlock]int32
-	cs := fl.blockCodes()
 	nt := fl.NumTrees
 	for lo := 0; lo < len(xs); lo += rowBlock {
 		hi := min(lo+rowBlock, len(xs))
 		rows := xs[lo:hi]
-		hasNaN := false
-		if cs != nil {
-			fl.encodeBlock(rows, cs)
-		} else {
-			hasNaN = rowsHaveNaN(rows)
-		}
+		hasNaN := rowsHaveNaN(rows)
 		for t := 0; t < nt; t++ {
-			fl.walkBlock(t, rows, idx[:len(rows)], cs, hasNaN)
+			fl.walkBlock(t, rows, idx[:len(rows)], hasNaN)
 			for r := range rows {
 				out[(lo+r)*nt+t] = idx[r]
 			}
@@ -642,7 +435,6 @@ func (fl *Flat) AddRawInto(xs [][]float64, out []float64) {
 // GBDT update); otherwise out is initialized to BaseScore.
 func (fl *Flat) rawBlocks(xs [][]float64, out []float64, add bool) {
 	var idx [rowBlock]int32
-	cs := fl.blockCodes()
 	value := fl.value
 	for lo := 0; lo < len(xs); lo += rowBlock {
 		hi := min(lo+rowBlock, len(xs))
@@ -653,14 +445,9 @@ func (fl *Flat) rawBlocks(xs [][]float64, out []float64, add bool) {
 				ob[r] = fl.BaseScore
 			}
 		}
-		hasNaN := false
-		if cs != nil {
-			fl.encodeBlock(rows, cs)
-		} else {
-			hasNaN = rowsHaveNaN(rows)
-		}
+		hasNaN := rowsHaveNaN(rows)
 		for t := 0; t < fl.NumTrees; t++ {
-			fl.walkBlock(t, rows, idx[:len(rows)], cs, hasNaN)
+			fl.walkBlock(t, rows, idx[:len(rows)], hasNaN)
 			for r := range ob {
 				ob[r] += value[idx[r]]
 			}
@@ -681,76 +468,4 @@ func (fl *Flat) PredictBatchInto(xs [][]float64, out []float64) {
 			out[i] = Sigmoid(v)
 		}
 	}
-}
-
-// blockCodes returns the per-block quantized-code scratch, or nil on
-// the float path.
-func (fl *Flat) blockCodes() []uint16 {
-	if !fl.Quantized() {
-		return nil
-	}
-	return make([]uint16, rowBlock*fl.NumFeatures)
-}
-
-// flatCache memoizes compilations by forest fingerprint (plus the
-// compile mode), so every consumer of the same forest — the engine's
-// sample stage, SHAP, PDP, repeated batch predictions — shares one
-// Flat. Bounded FIFO eviction keeps a handful of forests resident
-// without letting long-lived processes accumulate retired models.
-var flatCache = struct {
-	sync.Mutex
-	entries map[string]*Flat
-	order   []string
-}{entries: make(map[string]*Flat)}
-
-// maxFlatCacheEntries bounds the compile cache; a Flat is ~40 bytes per
-// node, so even eight large (10⁶-node) forests stay under ~0.5 GiB.
-const maxFlatCacheEntries = 8
-
-// Compiled returns the cached Flat for f, compiling it on first use.
-// The cache key is forest.Fingerprint(), so any structural change to
-// the forest yields a fresh compilation and retired versions age out.
-func Compiled(f *Forest) *Flat {
-	return compiledMode(f.Fingerprint()+"|float", "float", func() *Flat { return Compile(f) })
-}
-
-// CompiledQuantized is Compiled for the quantized-threshold mode.
-func CompiledQuantized(f *Forest) (*Flat, error) {
-	var cerr error
-	fl := compiledMode(f.Fingerprint()+"|quant", "quantized", func() *Flat {
-		q, err := CompileQuantized(f)
-		if err != nil {
-			cerr = err
-			return nil
-		}
-		return q
-	})
-	if cerr != nil {
-		return nil, cerr
-	}
-	return fl, nil
-}
-
-// compiledMode is the shared cache lookup. The lock covers compilation
-// so concurrent first uses of one forest compile once; compilation is
-// O(nodes) and allocation-bound, so the hold time is modest.
-func compiledMode(key, mode string, compile func() *Flat) *Flat {
-	flatCache.Lock()
-	defer flatCache.Unlock()
-	if fl, ok := flatCache.entries[key]; ok {
-		mFlatCacheHits.With(mode).Inc()
-		return fl
-	}
-	fl := compile()
-	if fl == nil {
-		return nil
-	}
-	if len(flatCache.order) >= maxFlatCacheEntries {
-		oldest := flatCache.order[0]
-		flatCache.order = flatCache.order[1:]
-		delete(flatCache.entries, oldest)
-	}
-	flatCache.entries[key] = fl
-	flatCache.order = append(flatCache.order, key)
-	return fl
 }

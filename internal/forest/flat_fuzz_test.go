@@ -7,9 +7,9 @@ import (
 )
 
 // FuzzFlatParity asserts the central compilation contract: on any
-// randomized forest and any row (NaN coordinates included), the float
-// and quantized flat layouts route every tree to exactly the leaf the
-// pointer walk reaches, and the additive raw scores are bitwise equal.
+// randomized forest and any row (NaN coordinates included), the flat
+// layout routes every tree to exactly the leaf the pointer walk
+// reaches, and the additive raw scores are bitwise equal.
 // The fuzzer drives the generator through a seed so every failure is
 // reproducible from the corpus entry alone.
 func FuzzFlatParity(f *testing.F) {
@@ -26,10 +26,6 @@ func FuzzFlatParity(f *testing.F) {
 			t.Fatalf("generator produced an invalid forest: %v", err)
 		}
 		fl := Compile(fr)
-		fq, err := CompileQuantized(fr)
-		if err != nil {
-			t.Fatalf("CompileQuantized: %v", err)
-		}
 
 		nanProb := 0.0
 		if withNaN {
@@ -40,28 +36,26 @@ func FuzzFlatParity(f *testing.F) {
 			xs[i] = randRow(r, nf, nanProb)
 		}
 
-		for _, fx := range []*Flat{fl, fq} {
-			leaves := make([]int32, len(xs)*fx.NumTrees)
-			fx.LeavesBatch(xs, leaves)
-			raw := make([]float64, len(xs))
-			fx.RawPredictBatchInto(xs, raw)
-			for i, x := range xs {
-				want := fr.BaseScore
-				for ti := range fr.Trees {
-					ptr := int32(fr.Trees[ti].Leaf(x))
-					if got := leaves[i*fx.NumTrees+ti]; fx.OrigIndex(got) != ptr {
-						t.Fatalf("quantized=%v row %d tree %d: flat leaf %d (orig %d), pointer leaf %d (x=%v)",
-							fx.Quantized(), i, ti, got, fx.OrigIndex(got), ptr, x)
-					}
-					if got := fx.Leaf(ti, x); fx.OrigIndex(got) != ptr {
-						t.Fatalf("quantized=%v row %d tree %d: walk leaf %d (orig %d), pointer leaf %d",
-							fx.Quantized(), i, ti, got, fx.OrigIndex(got), ptr)
-					}
-					want += fr.Trees[ti].Predict(x)
+		leaves := make([]int32, len(xs)*fl.NumTrees)
+		fl.LeavesBatch(xs, leaves)
+		raw := make([]float64, len(xs))
+		fl.RawPredictBatchInto(xs, raw)
+		for i, x := range xs {
+			want := fr.BaseScore
+			for ti := range fr.Trees {
+				ptr := int32(fr.Trees[ti].Leaf(x))
+				if got := leaves[i*fl.NumTrees+ti]; fl.OrigIndex(got) != ptr {
+					t.Fatalf("row %d tree %d: flat leaf %d (orig %d), pointer leaf %d (x=%v)",
+						i, ti, got, fl.OrigIndex(got), ptr, x)
 				}
-				if math.Float64bits(raw[i]) != math.Float64bits(want) {
-					t.Fatalf("quantized=%v row %d: raw %v, pointer raw %v", fx.Quantized(), i, raw[i], want)
+				if got := fl.Leaf(ti, x); fl.OrigIndex(got) != ptr {
+					t.Fatalf("row %d tree %d: walk leaf %d (orig %d), pointer leaf %d",
+						i, ti, got, fl.OrigIndex(got), ptr)
 				}
+				want += fr.Trees[ti].Predict(x)
+			}
+			if math.Float64bits(raw[i]) != math.Float64bits(want) {
+				t.Fatalf("row %d: raw %v, pointer raw %v", i, raw[i], want)
 			}
 		}
 	})

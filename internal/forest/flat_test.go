@@ -75,17 +75,6 @@ func randRow(r *rand.Rand, numFeat int, nanProb float64) []float64 {
 	return x
 }
 
-// flatsUnderTest compiles both modes of a forest, failing the test if the
-// quantized compile is rejected.
-func flatsUnderTest(t *testing.T, f *Forest) []*Flat {
-	t.Helper()
-	fq, err := CompileQuantized(f)
-	if err != nil {
-		t.Fatalf("CompileQuantized: %v", err)
-	}
-	return []*Flat{Compile(f), fq}
-}
-
 func TestFlatLeafParityRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
@@ -93,15 +82,14 @@ func TestFlatLeafParityRandom(t *testing.T) {
 		if err := f.Validate(); err != nil {
 			t.Fatalf("trial %d: random forest invalid: %v", trial, err)
 		}
-		for _, fl := range flatsUnderTest(t, f) {
-			for rowTrial := 0; rowTrial < 50; rowTrial++ {
-				x := randRow(r, f.NumFeatures, 0.05)
-				for ti := range f.Trees {
-					want := int32(f.Trees[ti].Leaf(x))
-					if got := fl.Leaf(ti, x); fl.OrigIndex(got) != want {
-						t.Fatalf("trial %d tree %d quantized=%v: Leaf(%v) = slot %d (orig %d), want orig %d",
-							trial, ti, fl.Quantized(), x, got, fl.OrigIndex(got), want)
-					}
+		fl := Compile(f)
+		for rowTrial := 0; rowTrial < 50; rowTrial++ {
+			x := randRow(r, f.NumFeatures, 0.05)
+			for ti := range f.Trees {
+				want := int32(f.Trees[ti].Leaf(x))
+				if got := fl.Leaf(ti, x); fl.OrigIndex(got) != want {
+					t.Fatalf("trial %d tree %d: Leaf(%v) = slot %d (orig %d), want orig %d",
+						trial, ti, x, got, fl.OrigIndex(got), want)
 				}
 			}
 		}
@@ -115,15 +103,14 @@ func TestLeavesBatchMatchesLeaf(t *testing.T) {
 	for i := range xs {
 		xs[i] = randRow(r, f.NumFeatures, 0.02)
 	}
-	for _, fl := range flatsUnderTest(t, f) {
-		out := make([]int32, len(xs)*fl.NumTrees)
-		fl.LeavesBatch(xs, out)
-		for i, x := range xs {
-			for ti := 0; ti < fl.NumTrees; ti++ {
-				if got, want := out[i*fl.NumTrees+ti], fl.Leaf(ti, x); got != want {
-					t.Fatalf("quantized=%v row %d tree %d: batch leaf %d, walk leaf %d",
-						fl.Quantized(), i, ti, got, want)
-				}
+	fl := Compile(f)
+	out := make([]int32, len(xs)*fl.NumTrees)
+	fl.LeavesBatch(xs, out)
+	for i, x := range xs {
+		for ti := 0; ti < fl.NumTrees; ti++ {
+			if got, want := out[i*fl.NumTrees+ti], fl.Leaf(ti, x); got != want {
+				t.Fatalf("row %d tree %d: batch leaf %d, walk leaf %d",
+					i, ti, got, want)
 			}
 		}
 	}
@@ -147,23 +134,22 @@ func TestRawPredictBatchIntoBitwise(t *testing.T) {
 	for i := range xs {
 		xs[i] = randRow(r, f.NumFeatures, 0.02)
 	}
-	for _, fl := range flatsUnderTest(t, f) {
-		out := make([]float64, len(xs))
-		fl.RawPredictBatchInto(xs, out)
-		for i, x := range xs {
-			// Reference accumulation in the same order: base + trees.
-			want := f.BaseScore
-			for ti := range f.Trees {
-				want += f.Trees[ti].Predict(x)
-			}
-			if math.Float64bits(out[i]) != math.Float64bits(want) {
-				t.Fatalf("quantized=%v row %d: batch raw %v != pointer raw %v",
-					fl.Quantized(), i, out[i], want)
-			}
-			if got := fl.RawPredict(x); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("quantized=%v row %d: single raw %v != pointer raw %v",
-					fl.Quantized(), i, got, want)
-			}
+	fl := Compile(f)
+	out := make([]float64, len(xs))
+	fl.RawPredictBatchInto(xs, out)
+	for i, x := range xs {
+		// Reference accumulation in the same order: base + trees.
+		want := f.BaseScore
+		for ti := range f.Trees {
+			want += f.Trees[ti].Predict(x)
+		}
+		if math.Float64bits(out[i]) != math.Float64bits(want) {
+			t.Fatalf("row %d: batch raw %v != pointer raw %v",
+				i, out[i], want)
+		}
+		if got := fl.RawPredict(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("row %d: single raw %v != pointer raw %v",
+				i, got, want)
 		}
 	}
 }
@@ -240,73 +226,20 @@ func TestTreeMeanMatchesRecursiveReference(t *testing.T) {
 	}
 }
 
-func TestCompiledCacheReturnsSameFlat(t *testing.T) {
-	f := twoTreeForest()
-	a, b := Compiled(f), Compiled(f)
-	if a != b {
-		t.Fatal("Compiled did not serve the second call from the cache")
-	}
-	q1, err := CompiledQuantized(f)
-	if err != nil {
-		t.Fatalf("CompiledQuantized: %v", err)
-	}
-	q2, _ := CompiledQuantized(f)
-	if q1 != q2 {
-		t.Fatal("CompiledQuantized did not serve the second call from the cache")
-	}
-	if a == q1 {
-		t.Fatal("float and quantized cache entries must be distinct")
-	}
-}
-
-func TestCompiledCacheEvictsFIFO(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	first := randForest(r, 2, 2, 10, Regression)
-	a := Compiled(first)
-	// Fill the cache with maxFlatCacheEntries distinct forests; the
-	// first entry is the oldest and must be evicted.
-	for i := 0; i < maxFlatCacheEntries; i++ {
-		Compiled(randForest(r, 2, 2, 10, Regression))
-	}
-	if b := Compiled(first); a == b {
-		t.Fatal("oldest cache entry was not evicted after the cache filled")
-	}
-}
-
-func TestQuantizedCutTables(t *testing.T) {
-	if got := dedupeSortedCuts([]float64{1, 1, 2, 2, 2, 3}); len(got) != 3 {
-		t.Fatalf("dedupeSortedCuts kept %d values, want 3", len(got))
-	}
-	cuts := []float64{-1, 0, 2.5}
-	cases := []struct {
-		x    float64
-		want int
-	}{
-		{math.Inf(-1), 0}, {-1, 0}, {-0.5, 1}, {0, 1}, {1, 2}, {2.5, 2},
-		{3, 3}, {math.Inf(1), 3}, {math.NaN(), 3},
-	}
-	for _, c := range cases {
-		if got := lowerBound(cuts, c.x); got != c.want {
-			t.Errorf("lowerBound(%v) = %d, want %d", c.x, got, c.want)
-		}
-	}
-}
-
 func TestFlatDepthZeroTree(t *testing.T) {
 	f := &Forest{
 		Trees:       []Tree{{Nodes: []Node{{Left: -1, Right: -1, Value: 3, Cover: 1}}}},
 		NumFeatures: 2,
 		Objective:   Regression,
 	}
-	for _, fl := range flatsUnderTest(t, f) {
-		if got := fl.Leaf(0, []float64{0, 0}); got != 0 {
-			t.Fatalf("quantized=%v: leaf-only tree routed to %d", fl.Quantized(), got)
-		}
-		out := make([]float64, 1)
-		fl.RawPredictBatchInto([][]float64{{0, 0}}, out)
-		if out[0] != 3 {
-			t.Fatalf("quantized=%v: leaf-only raw %v, want 3", fl.Quantized(), out[0])
-		}
+	fl := Compile(f)
+	if got := fl.Leaf(0, []float64{0, 0}); got != 0 {
+		t.Fatalf("leaf-only tree routed to %d", got)
+	}
+	out := make([]float64, 1)
+	fl.RawPredictBatchInto([][]float64{{0, 0}}, out)
+	if out[0] != 3 {
+		t.Fatalf("leaf-only raw %v, want 3", out[0])
 	}
 }
 
@@ -332,23 +265,22 @@ func TestDeepChainTreeIterative(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	for _, fl := range flatsUnderTest(t, f) {
-		if got := fl.TreeMaxDepth(0); got != depth {
-			t.Fatalf("quantized=%v: TreeMaxDepth = %d, want %d", fl.Quantized(), got, depth)
+	fl := Compile(f)
+	if got := fl.TreeMaxDepth(0); got != depth {
+		t.Fatalf("TreeMaxDepth = %d, want %d", got, depth)
+	}
+	// x=0 descends the full chain; x beyond the root threshold
+	// exits right immediately. Both must match the pointer walk.
+	for _, x := range [][]float64{{0}, {depth + 1}, {depth / 2.0}} {
+		want := int32(f.Trees[0].Leaf(x))
+		if got := fl.Leaf(0, x); fl.OrigIndex(got) != want {
+			t.Fatalf("Leaf(%v) = slot %d (orig %d), want orig %d",
+				x, got, fl.OrigIndex(got), want)
 		}
-		// x=0 descends the full chain; x beyond the root threshold
-		// exits right immediately. Both must match the pointer walk.
-		for _, x := range [][]float64{{0}, {depth + 1}, {depth / 2.0}} {
-			want := int32(f.Trees[0].Leaf(x))
-			if got := fl.Leaf(0, x); fl.OrigIndex(got) != want {
-				t.Fatalf("quantized=%v: Leaf(%v) = slot %d (orig %d), want orig %d",
-					fl.Quantized(), x, got, fl.OrigIndex(got), want)
-			}
-		}
-		out := make([]int32, 2)
-		fl.LeavesBatch([][]float64{{0}, {depth + 1}}, out)
-		if fl.OrigIndex(out[0]) != int32(f.Trees[0].Leaf([]float64{0})) {
-			t.Fatalf("quantized=%v: batch leaf on deep chain diverged", fl.Quantized())
-		}
+	}
+	out := make([]int32, 2)
+	fl.LeavesBatch([][]float64{{0}, {depth + 1}}, out)
+	if fl.OrigIndex(out[0]) != int32(f.Trees[0].Leaf([]float64{0})) {
+		t.Fatalf("batch leaf on deep chain diverged")
 	}
 }

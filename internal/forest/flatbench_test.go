@@ -38,16 +38,3 @@ func BenchmarkFlatPredictBatch(b *testing.B) {
 		fl.PredictBatchInto(xs, out)
 	}
 }
-
-func BenchmarkQuantPredictBatch(b *testing.B) {
-	f, xs := benchFixture(b)
-	fl, err := CompileQuantized(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := make([]float64, len(xs))
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		fl.PredictBatchInto(xs, out)
-	}
-}

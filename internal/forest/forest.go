@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"gef/internal/par"
 	"gef/internal/robust"
@@ -125,12 +126,55 @@ func treeDepthIter(nodes []Node) int {
 }
 
 // Forest is an additive ensemble of decision trees.
+//
+// A forest is sealed once it is complete (Seal): sealing validates it,
+// stores its fingerprint and attaches its compiled Flat. Unmarshal, the
+// gbdt trainers and Truncate return sealed forests. Do not modify a
+// sealed forest — its fingerprint and Flat would go stale; build a new
+// one instead, as Truncate does.
 type Forest struct {
 	Trees        []Tree    `json:"trees"`
 	NumFeatures  int       `json:"num_features"`
 	BaseScore    float64   `json:"base_score"` // constant added to every raw score
 	Objective    Objective `json:"objective"`
 	FeatureNames []string  `json:"feature_names,omitempty"`
+
+	seal atomic.Pointer[seal] // set once by Seal; never copied with the struct
+}
+
+// seal is what Seal attaches to a forest: the values every consumer of
+// a fixed forest would otherwise recompute per call.
+type seal struct {
+	fp   string
+	flat *Flat
+}
+
+// Seal validates f once, stores its fingerprint and attaches its
+// compiled Flat. It is idempotent and safe for concurrent use: once a
+// seal is attached, later calls return nil at the cost of one atomic
+// load. An invalid forest is left unsealed and its validation error is
+// returned.
+func (f *Forest) Seal() error {
+	if f.seal.Load() != nil {
+		return nil
+	}
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	// Concurrent first calls may each compile; one seal wins and every
+	// caller observes it.
+	f.seal.CompareAndSwap(nil, &seal{fp: f.fingerprint(), flat: Compile(f)})
+	return nil
+}
+
+// Flat returns the compiled flat form of f: the one Seal attached, or —
+// on a forest that was never sealed — a fresh compilation that is not
+// kept.
+func (f *Forest) Flat() *Flat {
+	if s := f.seal.Load(); s != nil {
+		return s.flat
+	}
+	return Compile(f)
 }
 
 // RawPredict returns the untransformed additive score for x:
@@ -190,10 +234,10 @@ func (f *Forest) RawPredictBatch(xs [][]float64) []float64 {
 }
 
 // RawPredictBatchCtx evaluates RawPredict on every row of xs through
-// the fingerprint-cached flat compilation, parallel over fixed row
-// chunks with disjoint writes. Returns ctx.Err() if canceled.
+// the forest's flat compilation (Flat), parallel over fixed row chunks
+// with disjoint writes. Returns ctx.Err() if canceled.
 func (f *Forest) RawPredictBatchCtx(ctx context.Context, xs [][]float64) ([]float64, error) {
-	fl := Compiled(f)
+	fl := f.Flat()
 	out := make([]float64, len(xs))
 	if err := par.For(ctx, len(xs), 0, func(_, lo, hi int) {
 		fl.RawPredictBatchInto(xs[lo:hi], out[lo:hi])

@@ -7,8 +7,10 @@ import (
 
 // FuzzUnmarshal asserts the deserialization contract for untrusted forest
 // files (the paper's third-party hand-off scenario): any byte slice either
-// fails with an error or yields a forest that validates and predicts a
-// finite value — never a panic.
+// fails with an error or yields a sealed forest that predicts a finite
+// value — never a panic. The seal must match the forest it decoded: the
+// stored fingerprint equals the hash of its nodes, and the attached Flat
+// predicts bitwise what the pointer walk does.
 func FuzzUnmarshal(f *testing.F) {
 	valid, err := Marshal(&Forest{
 		NumFeatures: 2,
@@ -40,6 +42,15 @@ func FuzzUnmarshal(f *testing.F) {
 		x := make([]float64, fr.NumFeatures)
 		if y := fr.Predict(x); math.IsNaN(y) {
 			t.Fatalf("validated forest predicted NaN on zero input")
+		}
+		if fr.seal.Load() == nil {
+			t.Fatal("decoded forest is not sealed")
+		}
+		if got, want := fr.Fingerprint(), fr.fingerprint(); got != want {
+			t.Fatalf("sealed fingerprint %s, nodes hash to %s", got, want)
+		}
+		if got, want := fr.Flat().RawPredict(x), fr.RawPredict(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("sealed Flat raw %v, pointer raw %v on zero input", got, want)
 		}
 	})
 }

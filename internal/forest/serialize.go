@@ -26,7 +26,7 @@ func Marshal(f *Forest) ([]byte, error) {
 }
 
 // Unmarshal parses a forest from the versioned JSON wire format and
-// validates it.
+// seals it (Forest.Seal), which validates it.
 func Unmarshal(data []byte) (*Forest, error) {
 	var s serialized
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -38,7 +38,7 @@ func Unmarshal(data []byte) (*Forest, error) {
 	if s.Forest == nil {
 		return nil, fmt.Errorf("forest JSON missing %q field", "forest")
 	}
-	if err := s.Forest.Validate(); err != nil {
+	if err := s.Forest.Seal(); err != nil {
 		return nil, fmt.Errorf("deserialized forest is invalid: %w", err)
 	}
 	return s.Forest, nil

@@ -77,16 +77,25 @@ func (s Stats) TopThresholdFeatures(k int) []int {
 	return feats
 }
 
-// Truncate returns a copy of the forest keeping only the first k trees —
+// Truncate returns a new sealed forest keeping only the first k trees —
 // the standard way to evaluate a boosted ensemble at an earlier
-// iteration. Trees are shared, not copied.
+// iteration. Trees are shared, not copied; the seal is not: the
+// truncated forest gets its own fingerprint and Flat.
 func (f *Forest) Truncate(k int) (*Forest, error) {
 	if k < 1 || k > len(f.Trees) {
 		return nil, fmt.Errorf("forest: cannot truncate %d trees to %d", len(f.Trees), k)
 	}
-	out := *f
-	out.Trees = f.Trees[:k]
-	return &out, nil
+	out := &Forest{
+		Trees:        f.Trees[:k],
+		NumFeatures:  f.NumFeatures,
+		BaseScore:    f.BaseScore,
+		Objective:    f.Objective,
+		FeatureNames: f.FeatureNames,
+	}
+	if err := out.Seal(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // StagedPredict returns the raw prediction of x after each boosting

@@ -49,6 +49,9 @@ func TestTopThresholdFeatures(t *testing.T) {
 
 func TestTruncate(t *testing.T) {
 	f := twoTreeForest()
+	if err := f.Seal(); err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
 	g, err := f.Truncate(1)
 	if err != nil {
 		t.Fatalf("Truncate: %v", err)
@@ -60,6 +63,21 @@ func TestTruncate(t *testing.T) {
 	// tree1 → 1 plus base 0.5.
 	if got := g.RawPredict(x); got != 1.5 {
 		t.Errorf("truncated prediction = %v, want 1.5", got)
+	}
+	// The truncated forest is sealed on its own: the parent's stored
+	// fingerprint and two-tree Flat must not ride along with the struct.
+	if g.Fingerprint() == f.Fingerprint() {
+		t.Error("truncated forest reports the parent's fingerprint")
+	}
+	bare := &Forest{Trees: f.Trees[:1], NumFeatures: f.NumFeatures, BaseScore: f.BaseScore, Objective: f.Objective}
+	if got, want := g.Fingerprint(), bare.Fingerprint(); got != want {
+		t.Errorf("truncated fingerprint %s, unsealed one-tree copy %s", got, want)
+	}
+	if got := g.RawPredictBatch([][]float64{x})[0]; got != 1.5 {
+		t.Errorf("truncated batch prediction = %v, want 1.5", got)
+	}
+	if got := g.Flat().RawPredict(x); got != 1.5 {
+		t.Errorf("truncated Flat prediction = %v, want 1.5", got)
 	}
 	// Original untouched.
 	if len(f.Trees) != 2 {

@@ -129,7 +129,7 @@ func TrainRF(ds *dataset.Dataset, p RFParams) (*forest.Forest, error) {
 		feats := sampleFeatures(par.SplitSeed(p.Seed, 2*t+1), numFeat, p.FeatureFraction)
 		f.Trees[t] = growTree(bd, grad, hess, rows, feats, gp)
 	})
-	if err := f.Validate(); err != nil {
+	if err := f.Seal(); err != nil {
 		return nil, fmt.Errorf("gbdt: produced invalid RF: %w", err)
 	}
 	return f, nil

@@ -264,7 +264,7 @@ func TrainValidCtx(ctx context.Context, train, valid *dataset.Dataset, p Params)
 	} else if rep.BestIteration >= 0 {
 		f.Trees = f.Trees[:rep.BestIteration+1]
 	}
-	if err := f.Validate(); err != nil {
+	if err := f.Seal(); err != nil {
 		return nil, nil, fmt.Errorf("gbdt: produced invalid forest: %w", err)
 	}
 	if len(rep.TrainLoss) > 0 {

@@ -5,7 +5,7 @@
 //
 // Every grid point costs |background| forest evaluations; all of them
 // run through the flat structure-of-arrays batch kernels
-// (forest.Compiled): the background is cloned once into a scratch
+// (Forest.Flat): the background is cloned once into a scratch
 // matrix, each grid point overwrites only the swept feature column(s),
 // and one batched traversal evaluates the whole background per point.
 // Per-point sums accumulate in background order, so results are bitwise
@@ -53,7 +53,7 @@ func OneDimAt(f *forest.Forest, background [][]float64, j int, values []float64)
 		panic("pdp: empty background sample")
 	}
 	mForestEvals.Add(int64(len(values)) * int64(len(background)))
-	fl := forest.Compiled(f)
+	fl := f.Flat()
 	rows := cloneRows(background)
 	preds := make([]float64, len(background))
 	out := make([]float64, len(values))
@@ -83,7 +83,7 @@ func TwoDimAt(f *forest.Forest, background [][]float64, i, j int, vi, vj []float
 		panic("pdp: empty background sample")
 	}
 	mForestEvals.Add(int64(len(vi)) * int64(len(background)))
-	fl := forest.Compiled(f)
+	fl := f.Flat()
 	rows := cloneRows(background)
 	preds := make([]float64, len(background))
 	out := make([]float64, len(vi))
@@ -110,7 +110,7 @@ func Grid1D(f *forest.Forest, background [][]float64, j int, grid []float64) []f
 		panic("pdp: empty background sample")
 	}
 	mForestEvals.Add(int64(len(grid)) * int64(len(background)))
-	fl := forest.Compiled(f)
+	fl := f.Flat()
 	rows := cloneRows(background)
 	preds := make([]float64, len(background))
 	out := make([]float64, len(grid))
@@ -139,7 +139,7 @@ func ICE(f *forest.Forest, background [][]float64, j int, grid []float64) [][]fl
 		panic("pdp: empty background sample")
 	}
 	mForestEvals.Add(int64(len(grid)) * int64(len(background)))
-	fl := forest.Compiled(f)
+	fl := f.Flat()
 	// Scratch: len(grid) copies of the current background row, the swept
 	// column rewritten per row — one batched traversal per curve.
 	sweep := make([][]float64, len(grid))

@@ -129,7 +129,7 @@ func Fit(ctx context.Context, f *forest.Forest, train *dataset.Dataset, cfg Conf
 	}
 	m := &Model{
 		f:  f,
-		fl: forest.Compiled(f),
+		fl: f.Flat(),
 		summary: Summary{
 			Tolerance:    cfg.Tolerance,
 			AbsTolerance: math.Max(cfg.Tolerance*(hi-lo), 1e-12),

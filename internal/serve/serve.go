@@ -207,11 +207,12 @@ func (s *Server) dumpPanicFlight(err error) {
 // Engine exposes the shared artifact cache (for stats reporting).
 func (s *Server) Engine() *core.Engine { return s.eng }
 
-// RegisterForest adds f to the registry and returns its fingerprint.
+// RegisterForest seals f (a no-op for a decoded forest, which arrives
+// sealed), adds it to the registry and returns its fingerprint.
 // Registration is idempotent: re-registering a structurally identical
 // forest keeps the existing entry.
 func (s *Server) RegisterForest(f *forest.Forest) (string, error) {
-	if err := f.Validate(); err != nil {
+	if err := f.Seal(); err != nil {
 		return "", fmt.Errorf("%w: %v", robust.ErrDegenerate, err)
 	}
 	fp := f.Fingerprint()

@@ -355,6 +355,42 @@ func TestForestPostRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLeafOnlyForestIsDegenerate: a forest that validates but has no
+// split node is registered, then refused with 400 "degenerate" by both
+// explain endpoints — the typed outcome, not a 500.
+func TestLeafOnlyForestIsDegenerate(t *testing.T) {
+	_, ts, _ := newTestServer(t, Options{})
+	resp, err := http.Post(ts.URL+"/v1/forests", "application/json", strings.NewReader(
+		`{"version":1,"forest":{"num_features":2,"objective":"regression","trees":[{"nodes":[{"left":-1,"right":-1,"value":1,"cover":1}]}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info forestInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: status %d, info %+v", resp.StatusCode, info)
+	}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/explain", explainRequest{Fingerprint: info.Fingerprint, Config: fastConfig()}},
+		{"/v1/autoexplain", autoRequest{Fingerprint: info.Fingerprint, Auto: core.AutoConfig{Base: fastConfig(), MaxUnivariate: 3}}},
+	} {
+		resp, payload := doJSON(t, http.MethodPost, ts.URL+c.path, "", c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (body %s)", c.path, resp.StatusCode, payload)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(payload, &eb); err != nil || eb.Kind != "degenerate" {
+			t.Fatalf("%s: error body = %s, want kind degenerate", c.path, payload)
+		}
+	}
+}
+
 // TestTenantAccounting checks the per-tenant ledgers: requests land
 // under the caller's X-Tenant, engine cache hits/misses are charged to
 // the leading tenant, and a second tenant re-running the same config

@@ -36,11 +36,12 @@ type pathElem struct {
 // per input feature on the raw-score scale. The base value (expected raw
 // score) is returned alongside; f(x)_raw = base + Σ φ.
 //
-// The forest is compiled to its flat structure-of-arrays form first
-// (cached by fingerprint, see forest.Compiled); batch callers that
-// explain many instances should compile once and use ValuesFlat.
+// The walk runs over the forest's flat structure-of-arrays form
+// (Forest.Flat): the one a sealed forest carries, or a per-call
+// compilation of an unsealed one — batch callers over an unsealed
+// forest should compile once and use ValuesFlat.
 func Values(f *forest.Forest, x []float64) (phi []float64, base float64) {
-	return ValuesFlat(forest.Compiled(f), x)
+	return ValuesFlat(f.Flat(), x)
 }
 
 // ValuesFlat is Values over an already-compiled flat forest: the
@@ -194,7 +195,7 @@ func GlobalImportance(f *forest.Forest, sample [][]float64) []float64 {
 		return make([]float64, f.NumFeatures)
 	}
 	// One flat compilation serves every instance in the batch.
-	fl := forest.Compiled(f)
+	fl := f.Flat()
 	// Per-instance TreeSHAP runs are independent: each chunk folds its
 	// rows into a partial |φ| sum, and the partials are combined in
 	// chunk order (bitwise-stable at any worker count).
@@ -232,7 +233,7 @@ func DependenceSeries(f *forest.Forest, sample [][]float64, j int) (xs, phis []f
 	defer sp.End()
 	xs = make([]float64, len(sample))
 	phis = make([]float64, len(sample))
-	fl := forest.Compiled(f)
+	fl := f.Flat()
 	// Each row writes only its own output slots — parallel with no
 	// reduction needed.
 	//lint:ignore errdrop background context cannot be canceled

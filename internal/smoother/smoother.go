@@ -102,7 +102,7 @@ func Fit(ctx context.Context, f *forest.Forest, features []int, train *dataset.D
 		obs.Int("features", len(features)), obs.Int("train_rows", len(train.X)))
 	defer sp.End()
 
-	fl := forest.Compiled(f)
+	fl := f.Flat()
 	n := min(cfg.ProximitySample, len(train.X))
 	sample := train.X[:n]
 	leaves := make([]int32, n*fl.NumTrees)
