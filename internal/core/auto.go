@@ -137,37 +137,37 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 		}
 	}
 
-	// fit builds and fits the candidate with ns splines and ni tensor
-	// terms (heredity: pairs restricted to the first ns features).
+	// Candidates are term prefixes of two widest specs: ns splines in
+	// gain order, then — once ns is fixed — those ns splines plus ni
+	// tensor terms in pair rank order (heredity: pairs within the first
+	// ns features). The spline spec gets one shared gam.Design, the
+	// tensor spec extends its first ns terms, and every candidate fits
+	// the leading columns of one of the two.
+	splineSpec, err := buildSpec(f, p.stats.thresholds, features, nil, base)
+	if err != nil {
+		return nil, nil, err
+	}
+	splineDesign := gam.NewDesign(splineSpec, train.X, train.Y)
+	var tensorDesign *gam.Design
+	var heredity []featsel.Pair // pairs within the first ns features, in rank order
+	// fit fits the candidate with ns splines and ni tensor terms.
 	fit := func(ns, ni int) (*gam.Model, []featsel.Pair, float64, error) {
 		cctx, csp := obs.Start(ctx, "auto.candidate",
 			obs.Int("splines", ns), obs.Int("interactions", ni))
 		defer csp.End()
-		sel := features[:ns]
-		var selPairs []featsel.Pair
-		inSel := make(map[int]bool, ns)
-		for _, ft := range sel {
-			inSel[ft] = true
+		var m *gam.Model
+		var err error
+		if ni == 0 {
+			m, err = splineDesign.FitCtx(cctx, ns, base.GAM)
+		} else {
+			m, err = tensorDesign.FitCtx(cctx, ns+ni, base.GAM)
 		}
-		for _, pr := range pairs {
-			if len(selPairs) == ni {
-				break
-			}
-			if inSel[pr.I] && inSel[pr.J] {
-				selPairs = append(selPairs, pr)
-			}
-		}
-		spec, err := buildSpec(f, p.stats.thresholds, sel, selPairs, base)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		m, err := gam.FitCtx(cctx, spec, train.X, train.Y, base.GAM)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		rmse := stats.RMSE(m.PredictBatch(test.X), test.Y)
 		csp.Set(obs.F64("rmse", rmse))
-		return m, selPairs, rmse, nil
+		return m, heredity[:ni:ni], rmse, nil
 	}
 	var trace []AutoStep
 	bestModel, bestPairs, bestRMSE, err := fit(1, 0)
@@ -196,7 +196,27 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 		}
 		bestModel, bestPairs, bestRMSE, ns = m, sp, rmse, ns+1
 	}
-	for ni < cfg.MaxInteractions && ns >= 2 {
+	if cfg.MaxInteractions > 0 && ns >= 2 {
+		inSel := make(map[int]bool, ns)
+		for _, ft := range features[:ns] {
+			inSel[ft] = true
+		}
+		for _, pr := range pairs {
+			if len(heredity) == cfg.MaxInteractions {
+				break
+			}
+			if inSel[pr.I] && inSel[pr.J] {
+				heredity = append(heredity, pr)
+			}
+		}
+		tensorSpec, err := buildSpec(f, p.stats.thresholds, nil, heredity, base)
+		if err != nil {
+			return nil, nil, err
+		}
+		tensorDesign = splineDesign.Extend(ns, tensorSpec.Terms...)
+	}
+	// Stop when no heredity pair is left to add.
+	for ni < len(heredity) {
 		m, sp, rmse, err := fit(ns, ni+1)
 		if errors.Is(err, robust.ErrNumerical) {
 			root.Event("auto.stopped", obs.Str("reason", err.Error()),
@@ -205,9 +225,6 @@ func (e *Engine) autoExplainCtx(ctx context.Context, f *forest.Forest, cfg AutoC
 		}
 		if err != nil {
 			return nil, nil, robust.CtxErr(err)
-		}
-		if len(sp) < ni+1 {
-			break // not enough candidate pairs within the selected features
 		}
 		improved := relImprovement(bestRMSE, rmse) >= cfg.Tolerance
 		trace = append(trace, AutoStep{NumUnivariate: ns, NumInteractions: ni + 1, RMSE: rmse, Accepted: improved})

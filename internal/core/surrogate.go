@@ -192,9 +192,8 @@ func (a *fitArtifact) cost() int64 {
 	case *gamModel:
 		return m.m.SizeBytes()
 	default:
-		// Rule models hold a compiled-forest pointer (owned by the
-		// process-wide forest.Compiled cache, not this entry) plus a
-		// summary.
+		// Rule models hold a pointer to the forest's flat form (owned by
+		// the sealed forest, not this entry) plus a summary.
 		return 2048
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"gef/internal/linalg"
 )
 
 func TestBSplinePartitionOfUnity(t *testing.T) {
@@ -230,5 +232,57 @@ func TestFactorLevelsAndIndex(t *testing.T) {
 	}
 	if levelIndex(levels, 2.5) != -1 {
 		t.Errorf("unseen level should map to -1")
+	}
+}
+
+// TestPenaltyBlockEigen decomposes the real penalty blocks — the
+// rank-deficient spline second-difference block and the tensor block —
+// and checks the reconstruction, orthogonality and null spaces: a
+// spline block leaves constants and lines (2 directions) unpenalized;
+// a tensor block's Kronecker sum leaves the 4 bilinear directions,
+// which its null-space shrinkage lifts to exactly tensorNullPenalty.
+func TestPenaltyBlockEigen(t *testing.T) {
+	for _, tc := range []struct {
+		kind    TermKind
+		m       int
+		nullVal float64
+		nullDim int
+	}{{Spline, 12, 0, 2}, {Spline, 4, 0, 2}, {Tensor, 6, tensorNullPenalty, 4}, {Tensor, 4, tensorNullPenalty, 4}} {
+		a := penaltyBlock(tc.kind, tc.m)
+		vals, vecs, err := linalg.SymEigen(a)
+		if err != nil {
+			t.Fatalf("%s %d: %v", tc.kind, tc.m, err)
+		}
+		n := a.Rows
+		recon := linalg.NewMatrix(n, n)
+		for k, lam := range vals {
+			u := vecs.Row(k)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					recon.Add(i, j, lam*u[i]*u[j])
+				}
+			}
+		}
+		var errF, normF float64
+		for i, v := range a.Data {
+			errF += (v - recon.Data[i]) * (v - recon.Data[i])
+			normF += v * v
+		}
+		if math.Sqrt(errF) > 1e-12*math.Sqrt(normF) {
+			t.Errorf("%s %d: ‖A − UΛUᵀ‖ = %g, ‖A‖ = %g", tc.kind, tc.m, math.Sqrt(errF), math.Sqrt(normF))
+		}
+		id := linalg.Mul(vecs, vecs.T())
+		for i := 0; i < n; i++ {
+			id.Add(i, i, -1)
+		}
+		if d := linalg.MaxAbsDiff(id, linalg.NewMatrix(n, n)); d > 1e-12 {
+			t.Errorf("%s %d: |UᵀU − I| = %g", tc.kind, tc.m, d)
+		}
+		scale := vals[n-1]
+		for i, v := range vals {
+			if inNull := i < tc.nullDim; inNull != (math.Abs(v-tc.nullVal) <= 1e-12*scale) {
+				t.Errorf("%s %d: eigenvalue %d = %g; want %d eigenvalues at %g", tc.kind, tc.m, i, v, tc.nullDim, tc.nullVal)
+			}
+		}
 	}
 }

@@ -29,12 +29,14 @@ type builtTerm struct {
 }
 
 // design holds the built terms plus the cached sparse design rows; row i
-// occupies idx/val[rowPtr[i]:rowPtr[i+1]].
+// occupies idx/val[rowPtr[i]:rowPtr[i+1]], or idx/val[rowPtr[i]:rowEnd[i]]
+// in a prefix view.
 type design struct {
 	terms  []builtTerm
 	p      int // total columns including the intercept
 	n      int
 	rowPtr []int32
+	rowEnd []int32 // prefix views only: each row's end below column p
 	idx    []int32
 	val    []float64
 	colSum []float64 // per-column sums, for post-fit centering
@@ -45,16 +47,34 @@ func buildDesign(spec Spec, xs [][]float64) (*design, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("gam: empty design data")
 	}
-	numFeatures := len(xs[0])
-	if err := spec.validate(numFeatures); err != nil {
+	if err := spec.validate(len(xs[0])); err != nil {
 		return nil, err
 	}
-	d := &design{n: len(xs)}
-	col := 1 // column 0 is the intercept
-	nnzPerRow := 1
-	for _, ts := range spec.Terms {
+	return extendDesign(nil, spec.Terms, xs)
+}
+
+// extendDesign returns the design of base's terms followed by terms
+// (base nil: the intercept alone). The new terms are bound to xs — the
+// rows base was built from — and their entries appended to each of
+// base's rows, so base is a prefix of the result and the result equals
+// building all the terms at once, bitwise.
+func extendDesign(base *design, terms []TermSpec, xs [][]float64) (*design, error) {
+	d := &design{n: len(xs), p: 1} // column 0 is the intercept
+	baseNNZ := d.n
+	if base != nil {
+		d.terms = append(d.terms, base.terms...)
+		d.p = base.p
+		baseNNZ = 0
+		for i := 0; i < d.n; i++ {
+			idx, _ := base.row(i)
+			baseNNZ += len(idx)
+		}
+	}
+	first := len(d.terms)
+	nnzPerRow := 0 // new entries per row, at most
+	for _, ts := range terms {
 		ts = ts.withDefaults()
-		bt := builtTerm{spec: ts, offset: col}
+		bt := builtTerm{spec: ts, offset: d.p}
 		switch ts.Kind {
 		case Spline:
 			lo, hi := columnRange(xs, ts.Feature)
@@ -106,19 +126,30 @@ func buildDesign(spec Spec, xs [][]float64) (*design, error) {
 			bt.size = ts.NumBasis * ts.NumBasis
 			nnzPerRow += (degree + 1) * (degree + 1)
 		}
-		col += bt.size
+		d.p += bt.size
 		d.terms = append(d.terms, bt)
 	}
-	d.p = col
 	d.colSum = make([]float64, d.p)
+	if base != nil {
+		copy(d.colSum, base.colSum)
+	}
 
 	d.rowPtr = make([]int32, d.n+1)
-	d.idx = make([]int32, 0, d.n*nnzPerRow)
-	d.val = make([]float64, 0, d.n*nnzPerRow)
+	d.idx = make([]int32, 0, baseNNZ+d.n*nnzPerRow)
+	d.val = make([]float64, 0, baseNNZ+d.n*nnzPerRow)
 	idxBuf := make([]int, nnzPerRow)
 	valBuf := make([]float64, nnzPerRow)
 	for i, row := range xs {
-		nnz := d.encodeRow(row, idxBuf, valBuf)
+		if base == nil {
+			d.idx = append(d.idx, 0) // intercept
+			d.val = append(d.val, 1)
+			d.colSum[0]++
+		} else {
+			idx, val := base.row(i)
+			d.idx = append(d.idx, idx...)
+			d.val = append(d.val, val...)
+		}
+		nnz := d.encodeTerms(row, first, idxBuf, valBuf)
 		for k := 0; k < nnz; k++ {
 			d.idx = append(d.idx, int32(idxBuf[k]))
 			d.val = append(d.val, valBuf[k])
@@ -129,16 +160,14 @@ func buildDesign(spec Spec, xs [][]float64) (*design, error) {
 	return d, nil
 }
 
-// encodeRow writes the sparse design entries of one input row into
-// idxBuf/valBuf and returns the entry count. Entries appear in ascending
-// column order (intercept first, then terms by offset).
-func (d *design) encodeRow(row []float64, idxBuf []int, valBuf []float64) int {
+// encodeTerms writes the sparse design entries of terms[from:] for one
+// input row into idxBuf/valBuf and returns the entry count. Entries
+// appear in ascending column order (terms by offset).
+func (d *design) encodeTerms(row []float64, from int, idxBuf []int, valBuf []float64) int {
 	n := 0
-	idxBuf[n], valBuf[n] = 0, 1 // intercept
-	n++
 	var sv [degree + 1]float64
 	var sv2 [degree + 1]float64
-	for ti := range d.terms {
+	for ti := from; ti < len(d.terms); ti++ {
 		bt := &d.terms[ti]
 		switch bt.spec.Kind {
 		case Spline:
@@ -219,9 +248,38 @@ func penaltyBlock(kind TermKind, m int) *linalg.Matrix {
 	}
 }
 
+// prefix returns a view of d restricted to its first terms terms. The
+// view shares d's rows: every row's entries are in ascending column
+// order, so the view's entries are a prefix of each row, ending at
+// rowEnd. Its colSum is the leading slice of d's.
+func (d *design) prefix(terms int) *design {
+	v := *d
+	v.terms = d.terms[:terms:terms]
+	v.p = 1
+	if terms > 0 {
+		last := v.terms[terms-1]
+		v.p = last.offset + last.size
+	}
+	v.colSum = d.colSum[:v.p:v.p]
+	if v.p < d.p {
+		v.rowEnd = make([]int32, d.n)
+		for i := range v.rowEnd {
+			lo, hi := d.rowPtr[i], d.rowPtr[i+1]
+			for hi > lo && int(d.idx[hi-1]) >= v.p {
+				hi--
+			}
+			v.rowEnd[i] = hi
+		}
+	}
+	return &v
+}
+
 // row returns the sparse entries of cached row i.
 func (d *design) row(i int) (idx []int32, val []float64) {
 	lo, hi := d.rowPtr[i], d.rowPtr[i+1]
+	if d.rowEnd != nil {
+		hi = d.rowEnd[i]
+	}
 	return d.idx[lo:hi], d.val[lo:hi]
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"gef/internal/linalg"
 	"gef/internal/obs"
@@ -72,14 +71,89 @@ func Fit(spec Spec, xs [][]float64, y []float64, opt Options) (*Model, error) {
 }
 
 // FitCtx is Fit with context propagation: the fit runs under a gam.fit
-// span carrying the design-matrix dimensions. Each λ search emits one
-// gam.gcv event per grid point (λ, GCV, EDF); for the logit link every
-// P-IRLS iteration runs under its own gam.pirls span carrying the
-// chosen λ, GCV, EDF and penalized deviance.
+// span carrying the design-matrix dimensions. Each λ search runs under
+// a gam.lambda_search span and emits one gam.gcv event per grid point
+// (λ, GCV, EDF); for the logit link every P-IRLS iteration runs under
+// its own gam.pirls span carrying the chosen λ, GCV, EDF and penalized
+// deviance.
 func FitCtx(ctx context.Context, spec Spec, xs [][]float64, y []float64, opt Options) (*Model, error) {
+	return NewDesign(spec, xs, y).FitCtx(ctx, len(spec.Terms), opt)
+}
+
+// Design is the design matrix of one spec over one dataset, shared by
+// fits of the spec's leading terms. Columns follow term order, so the
+// first k terms own the leading columns, and every row's sparse entries
+// for them are a prefix of its entries. A fit of k terms therefore
+// reads the shared rows — and, for the identity link, the leading
+// principal block of the shared XᵀX and Xᵀy — and is bitwise equal to
+// a fit of that k-term spec alone: each entry accumulates the same
+// products in the same fixed shard order. The rows are encoded by the
+// first fit, under its gam.fit span, and XᵀX gains columns only as
+// wider fits need them. A Design is not safe for concurrent use.
+type Design struct {
+	spec Spec
+	xs   [][]float64
+	y    []float64
+	// parent, for a design made by Extend, is the design whose first
+	// parentTerms terms lead this one's.
+	parent      *Design
+	parentTerms int
+
+	d   *design // nil until the first fit builds it
+	err error   // the build's error, returned by every fit
+	// Identity link: XᵀX and Xᵀy over the leading cols columns, and yᵀy.
+	xtx  *linalg.Matrix
+	xty  []float64
+	yty  float64
+	cols int
+}
+
+// NewDesign binds spec to (xs, y) for fits of its leading terms; it
+// does no work until the first fit.
+func NewDesign(spec Spec, xs [][]float64, y []float64) *Design {
 	if spec.Link == "" {
 		spec.Link = Identity
 	}
+	return &Design{spec: spec, xs: xs, y: y}
+}
+
+// Extend returns the design of dz's first terms terms followed by
+// extra, over the same data. Its rows extend dz's — the leading terms
+// are encoded once — and, for the identity link, its XᵀX starts from
+// the leading block of dz's.
+func (dz *Design) Extend(terms int, extra ...TermSpec) *Design {
+	spec := dz.spec
+	spec.Terms = append(spec.Terms[:terms:terms], extra...)
+	return &Design{spec: spec, xs: dz.xs, y: dz.y, parent: dz, parentTerms: terms}
+}
+
+// build encodes the design's rows on first use.
+func (dz *Design) build() (*design, error) {
+	if dz.d != nil || dz.err != nil {
+		return dz.d, dz.err
+	}
+	if dz.parent == nil {
+		dz.d, dz.err = buildDesign(dz.spec, dz.xs)
+		return dz.d, dz.err
+	}
+	var base *design
+	if base, dz.err = dz.parent.build(); dz.err == nil {
+		if dz.err = dz.spec.validate(len(dz.xs[0])); dz.err == nil {
+			dz.d, dz.err = extendDesign(base.prefix(dz.parentTerms), dz.spec.Terms[dz.parentTerms:], dz.xs)
+		}
+	}
+	return dz.d, dz.err
+}
+
+// FitCtx fits the GAM made of the design spec's first terms terms, as
+// gam.FitCtx would fit that spec alone, bitwise.
+func (dz *Design) FitCtx(ctx context.Context, terms int, opt Options) (*Model, error) {
+	spec := dz.spec
+	if terms < 1 || terms > len(spec.Terms) {
+		return nil, fmt.Errorf("gam: fit of %d terms from a %d-term spec", terms, len(spec.Terms))
+	}
+	spec.Terms = spec.Terms[:terms:terms]
+	xs, y := dz.xs, dz.y
 	opt = opt.withDefaults()
 	ctx, sp := obs.Start(ctx, "gam.fit",
 		obs.Str("link", string(spec.Link)),
@@ -91,10 +165,11 @@ func FitCtx(ctx context.Context, spec Spec, xs [][]float64, y []float64, opt Opt
 	if len(xs) != len(y) {
 		return nil, fmt.Errorf("gam: %d rows but %d targets", len(xs), len(y))
 	}
-	d, err := buildDesign(spec, xs)
+	full, err := dz.build()
 	if err != nil {
 		return nil, err
 	}
+	d := full.prefix(terms)
 	sp.Set(obs.Int("cols", d.p))
 	if d.n <= d.p {
 		// ErrNumerical (not a plain error) so the structural degradation
@@ -118,7 +193,7 @@ func FitCtx(ctx context.Context, spec Spec, xs [][]float64, y []float64, opt Opt
 	fitKey := robust.Ordinal(robust.ScopeFit)
 	var m *Model
 	if spec.Link == Identity {
-		m, err = fitGaussian(ctx, spec, d, s, y, opt, fitKey)
+		m, err = dz.fitGaussian(ctx, spec, d, s, opt, fitKey)
 	} else {
 		m, err = fitLogit(ctx, spec, d, s, y, opt, fitKey)
 	}
@@ -128,9 +203,38 @@ func FitCtx(ctx context.Context, spec Spec, xs [][]float64, y []float64, opt Opt
 	sp.Set(obs.F64("lambda", m.report.Lambda), obs.F64("gcv", m.report.GCV),
 		obs.F64("edf", m.report.EDF))
 	m.center(d)
-	// Release the cached rows; term metadata stays for prediction.
-	d.rowPtr, d.idx, d.val = nil, nil, nil
+	// Release the view's rows; term metadata stays for prediction.
+	d.rowPtr, d.rowEnd, d.idx, d.val = nil, nil, nil, nil
 	return m, nil
+}
+
+// normalEquations returns XᵀX and Xᵀy over the leading columns of view
+// (a prefix of the built design), and yᵀy. Only the columns no earlier
+// fit needed are accumulated; an extended design first takes its
+// parent's block over the columns they share.
+func (dz *Design) normalEquations(ctx context.Context, view *design) (*linalg.Matrix, []float64, float64, error) {
+	if dz.xtx == nil && dz.parent != nil {
+		xtx, xty, yty, err := dz.parent.normalEquations(ctx, dz.parent.d.prefix(dz.parentTerms))
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		dz.xtx, dz.xty, dz.yty, dz.cols = xtx, xty, yty, xtx.Rows
+	}
+	if dz.cols < view.p {
+		_, sp := obs.Start(ctx, "gam.normal_equations", obs.Int("rows", view.n),
+			obs.Int("cols", view.p), obs.Int("from", dz.cols), obs.Int("workers", par.Workers()))
+		xtx, xty, yty, err := accumulateNormal(ctx, view, nil, dz.y, dz.cols)
+		sp.End()
+		if err != nil {
+			return nil, nil, 0, robust.CtxErr(err)
+		}
+		for i := 0; i < dz.cols; i++ {
+			copy(xtx.Row(i)[:dz.cols], dz.xtx.Row(i)[:dz.cols])
+		}
+		copy(xty, dz.xty[:dz.cols])
+		dz.xtx, dz.xty, dz.yty, dz.cols = xtx, xty, yty, view.p
+	}
+	return leadingBlock(dz.xtx, view.p), dz.xty[:view.p], dz.yty, nil
 }
 
 // normalChunks is the fixed shard count for XᵀWX accumulation. Each
@@ -150,9 +254,12 @@ type normalEq struct {
 // rows with per-row weights w and responses z (pass w = nil for unit
 // weights). Rows are sharded into normalChunks fixed row ranges whose
 // partial matrices are summed in shard order, so the result is bitwise
-// identical at any worker count. It returns XᵀWX symmetrized, XᵀWz and
-// zᵀWz, or ctx.Err() on cancellation.
-func accumulateNormal(ctx context.Context, d *design, w, z []float64) (*linalg.Matrix, []float64, float64, error) {
+// identical at any worker count. Only entries in a column ≥ from are
+// accumulated (the rest stay 0): each entry sums its own products in
+// row order, so the ones computed equal a from = 0 pass's bitwise. It
+// returns XᵀWX symmetrized, XᵀWz and zᵀWz, or ctx.Err() on
+// cancellation.
+func accumulateNormal(ctx context.Context, d *design, w, z []float64, from int) (*linalg.Matrix, []float64, float64, error) {
 	p := d.p
 	acc, err := par.MapReduce(ctx, d.n, normalChunks,
 		func(_, lo, hi int) normalEq {
@@ -167,12 +274,20 @@ func accumulateNormal(ctx context.Context, d *design, w, z []float64) (*linalg.M
 				zi := z[i]
 				eq.ztz += wi * zi * zi
 				wzi := wi * zi
+				// Entries are in ascending column order: those before
+				// split only pair with the ones from it on.
+				split := 0
+				for split < len(idx) && int(idx[split]) < from {
+					split++
+				}
 				for a, ja := range idx {
 					va := val[a]
 					wva := wi * va
-					eq.xtz[ja] += wzi * va
+					if a >= split {
+						eq.xtz[ja] += wzi * va
+					}
 					rowBase := int(ja) * p
-					for b := a; b < len(idx); b++ {
+					for b := max(a, split); b < len(idx); b++ {
 						jb := idx[b]
 						if jb >= ja {
 							data[rowBase+int(jb)] += wva * val[b]
@@ -199,33 +314,24 @@ func accumulateNormal(ctx context.Context, d *design, w, z []float64) (*linalg.M
 	return acc.xtx, acc.xtz, acc.ztz, nil
 }
 
-// systemPool recycles the scratch matrices holding XᵀWX + λS between
-// λ-grid evaluations (the λ loop used to Clone() the full p×p matrix
-// per grid point). FactorizeSPD copies its input into the Cholesky's
-// own storage, so a scratch matrix can be reused — or returned to the
-// pool — the moment factorization returns.
-type systemPool struct {
-	pool sync.Pool
-	p    int
+// penalizedSystem returns XᵀWX + λS plus the stabilizing ridge on
+// non-intercept diagonal entries. extraRidge (relative to the mean
+// diagonal, like ridgeScale) is the numerical-recovery ladder's
+// escalation knob; 0 for a first attempt.
+func penalizedSystem(xtx, s *linalg.Matrix, lambda, extraRidge float64) *linalg.Matrix {
+	a := xtx.Clone()
+	a.AddScaled(lambda, s)
+	r := ridgeOf(xtx, extraRidge)
+	for i := 1; i < a.Rows; i++ {
+		a.Add(i, i, r)
+	}
+	return a
 }
 
-func newSystemPool(p int) *systemPool {
-	sp := &systemPool{p: p}
-	sp.pool.New = func() any { return linalg.NewMatrix(p, p) }
-	return sp
-}
-
-func (sp *systemPool) get() *linalg.Matrix  { return sp.pool.Get().(*linalg.Matrix) }
-func (sp *systemPool) put(m *linalg.Matrix) { sp.pool.Put(m) }
-
-// penalizedSystemInto overwrites dst with XᵀWX + λS plus the stabilizing
-// ridge on non-intercept diagonal entries, and returns dst. Every entry
-// of dst is written, so stale scratch contents cannot leak through.
-// extraRidge (relative to the mean diagonal, like ridgeScale) is the
-// numerical-recovery ladder's escalation knob; 0 for a first attempt.
-func penalizedSystemInto(dst, xtx, s *linalg.Matrix, lambda, extraRidge float64) *linalg.Matrix {
-	copy(dst.Data, xtx.Data)
-	dst.AddScaled(lambda, s)
+// ridgeOf is the absolute ridge penalizedSystem adds at the given extra
+// relative ridge: (ridgeScale + extraRidge) times the mean diagonal of
+// XᵀWX.
+func ridgeOf(xtx *linalg.Matrix, extraRidge float64) float64 {
 	var meanDiag float64
 	for i := 0; i < xtx.Rows; i++ {
 		meanDiag += xtx.At(i, i)
@@ -234,39 +340,38 @@ func penalizedSystemInto(dst, xtx, s *linalg.Matrix, lambda, extraRidge float64)
 	if meanDiag <= 0 {
 		meanDiag = 1
 	}
-	r := (ridgeScale + extraRidge) * meanDiag
-	for i := 1; i < dst.Rows; i++ {
-		dst.Add(i, i, r)
-	}
-	return dst
+	return (ridgeScale + extraRidge) * meanDiag
 }
 
 // ridgeLadder is the numerical recovery schedule: when the penalized
 // system fails to factorize, the assembly is retried with these extra
 // relative ridges in order (the first entry, 0, is the ordinary
 // attempt). Bounded at 1e-3 — beyond that the system is declared
-// numerically hopeless for this λ and the grid moves on.
+// numerically hopeless and the λ search fails.
 var ridgeLadder = [...]float64{0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3}
 
 // factorizeRecover assembles and factorizes XᵀWX + λS, walking the
 // ridge ladder on failure. It returns the factor and the extra ridge
 // that succeeded (0 = clean first attempt; > 0 increments the
-// robust.recoveries counter), or the last factorization error with the
-// robust.ErrNumerical sentinel attached. scratch is overwritten.
-// robust.SiteCholesky injection, keyed by the fit ordinal with the
-// attempt's ridge as the level, forces failures here.
-func factorizeRecover(scratch, xtx, s *linalg.Matrix, lambda float64, fitKey int) (*linalg.Cholesky, float64, error) {
+// robust.recoveries counter and emits a gam.recovery event on sp), or
+// the last factorization error with the robust.ErrNumerical sentinel
+// attached. robust.SiteCholesky injection, keyed by the fit ordinal
+// with the attempt's ridge as the level, forces failures here.
+func factorizeRecover(sp *obs.Span, xtx, s *linalg.Matrix, lambda float64, fitKey int) (*linalg.Cholesky, float64, error) {
 	var lastErr error
 	for _, r := range ridgeLadder {
 		if robust.Fire(robust.SiteCholesky, fitKey, r) {
 			lastErr = linalg.ErrNotPositiveDefinite
 			continue
 		}
-		a := penalizedSystemInto(scratch, xtx, s, lambda, r)
-		ch, err := linalg.FactorizeSPD(a)
+		ch, err := linalg.FactorizeSPD(penalizedSystem(xtx, s, lambda, r))
 		if err == nil {
 			if r > 0 {
+				// The recovery ladder rescued this system; surface the
+				// escalation instead of hiding it behind a clean trace.
 				robust.Recovered()
+				sp.Event("gam.recovery", obs.Str("action", robust.ActionRidgeEscalation),
+					obs.F64("lambda", lambda), obs.F64("ridge", r))
 			}
 			return ch, r, nil
 		}
@@ -276,158 +381,176 @@ func factorizeRecover(scratch, xtx, s *linalg.Matrix, lambda float64, fitKey int
 		lambda, robust.ErrNumerical, lastErr)
 }
 
-// gcvResult is the outcome of one λ-grid evaluation, computed in
-// parallel and selected over serially in grid order. ridge and rawRSS
-// feed the serial reporting pass: events and the numerical-warning
-// counter are driven there, in grid order, so traces and metric values
-// are deterministic at any worker count.
-type gcvResult struct {
-	ok     bool
-	skip   string  // reason when !ok
-	ridge  float64 // extra ridge the recovery ladder needed (0 = clean)
-	rawRSS float64 // RSS before the non-negativity clamp
-	raw    float64 // raw value behind a skip/warning (denominator, RSS)
-	gcv    float64
-	edf    float64
-	rss    float64
-	beta   []float64
-	chol   *linalg.Cholesky
-}
-
 // lambdaSearch is the outcome of one GCV search over the λ grid.
 type lambdaSearch struct {
 	report FitReport // Lambda, GCV, EDF, Scale, Lambdas, GCVs
 	beta   []float64
 	chol   *linalg.Cholesky
 	rss    float64 // (weighted) RSS at the chosen λ, clamped at 0
-	ztz    float64 // zᵀWz
 }
 
-// searchLambda is the λ search for both links: it fits the penalized
-// (weighted) least-squares model of z on the design for every λ of the
-// grid and keeps the GCV minimizer. w = nil means unit weights (the
-// identity link); the logit link passes its P-IRLS working weights and
-// responses, so λ is re-selected on each working model (performance
-// iteration; Gu 1992, Wood 2006).
-func searchLambda(ctx context.Context, d *design, s *linalg.Matrix, w, z []float64, opt Options, fitKey int) (*lambdaSearch, error) {
-	_, asp := obs.Start(ctx, "gam.normal_equations", obs.Int("rows", d.n),
-		obs.Int("cols", d.p), obs.Int("workers", par.Workers()))
-	xtx, xtz, ztz, err := accumulateNormal(ctx, d, w, z)
-	asp.End()
+// searchLambda is the λ search for both links: it chooses, by GCV over
+// the grid, the penalized (weighted) least-squares fit of z on the
+// design from its normal equations xtx = XᵀWX, xtz = XᵀWz and
+// ztz = zᵀWz over n rows. The identity link passes unit weights; the
+// logit link passes each P-IRLS working model, so λ is re-selected on
+// every iteration (performance iteration; Gu 1992, Wood 2006).
+//
+// The grid costs one decomposition (Demmler–Reinsch; Wood 2017 §6.2):
+// with B = XᵀWX + ridge·I′ = LLᵀ and L⁻¹SL⁻ᵀ = UΛUᵀ,
+// (B + λS)⁻¹ = L⁻ᵀU·diag(dᵢ)·UᵀL⁻¹ with dᵢ = 1/(1+λΛᵢ). With
+// c = UᵀL⁻¹XᵀWz and M = L⁻ᵀU, every λ then costs O(p²):
+//
+//	β   = M·diag(d)·c
+//	EDF = tr((B+λS)⁻¹XᵀWX) = Σdᵢ − ridge·Σdᵢqᵢ, qᵢ = ‖M[1:, i]‖²
+//	RSS = zᵀWz − ‖c‖² + Σ(1−dᵢ)²cᵢ² − ridge·‖β[1:]‖²
+//
+// (I′ is the identity without its intercept entry.) Only the chosen λ
+// is factorized again, through the same ridge ladder, so its β and
+// Cholesky factor are exactly what a direct solve at that λ gives.
+func searchLambda(ctx context.Context, xtx *linalg.Matrix, xtz []float64, ztz float64, n int, s *linalg.Matrix, opt Options, fitKey int) (*lambdaSearch, error) {
+	p := xtx.Rows
+	_, sp := obs.Start(ctx, "gam.lambda_search", obs.Int("cols", p))
+	defer sp.End()
+	chB, r, err := factorizeRecover(sp, xtx, s, 0, fitKey)
 	if err != nil {
-		return nil, robust.CtxErr(err)
+		return nil, err
 	}
-	n := float64(d.n)
-
-	// Every λ on the grid is an independent Cholesky solve against the
-	// same sufficient statistics, so the grid is evaluated in parallel
-	// (one chunk per λ) into a results slice; span events, the GCV trace
-	// and the best-λ selection happen serially afterwards, in grid
-	// order, so traces and tie-breaking are deterministic.
-	sysPool := newSystemPool(d.p)
-	results := make([]gcvResult, len(opt.Lambdas))
-	gridErr := par.For(ctx, len(opt.Lambdas), len(opt.Lambdas), func(g, _, _ int) {
-		mGCVEvals.Inc()
-		a := sysPool.get()
-		ch, ridge, ferr := factorizeRecover(a, xtx, s, opt.Lambdas[g], fitKey)
-		sysPool.put(a) // FactorizeSPD copied a; safe to recycle now
-		if ferr != nil {
-			results[g] = gcvResult{skip: "factorization failed"}
-			return // skip numerically hopeless λ
+	ridge := ridgeOf(xtx, r)
+	vals, ut, err := linalg.SymEigen(whiten(chB, s))
+	if err != nil {
+		return nil, fmt.Errorf("gam: decomposing the penalty: %w: %w", robust.ErrNumerical, err)
+	}
+	// c = Uᵀ(L⁻¹XᵀWz); row i of mt is column i of M = L⁻ᵀU.
+	lz := append([]float64(nil), xtz...)
+	chB.SolveL(lz)
+	c := make([]float64, p)
+	r0 := ztz
+	for i := range c {
+		c[i] = linalg.Dot(ut.Row(i), lz)
+		r0 -= c[i] * c[i]
+		if vals[i] < 0 {
+			vals[i] = 0 // S is PSD: a negative Λᵢ is round-off
 		}
-		beta := ch.Solve(xtz)
-		edf := ch.TraceSolve(xtx)
-		rawRSS := ztz - 2*linalg.Dot(beta, xtz) + quadForm(xtx, beta)
-		rss := rawRSS
-		if rss < 0 {
-			rss = 0
-		}
-		denom := n - edf
-		if denom <= 0 {
-			results[g] = gcvResult{skip: "edf exceeds n", raw: denom, ridge: ridge}
-			return
-		}
-		results[g] = gcvResult{
-			ok:     true,
-			ridge:  ridge,
-			rawRSS: rawRSS,
-			gcv:    n * rss / (denom * denom),
-			edf:    edf,
-			rss:    rss,
-			beta:   beta,
-			chol:   ch,
-		}
-	})
-	if gridErr != nil {
-		return nil, robust.CtxErr(gridErr)
+	}
+	m := ut.T()
+	chB.SolveLTMatrix(m)
+	mt := m.T()
+	q := make([]float64, p)
+	for i := range q {
+		row := mt.Row(i)[1:]
+		q[i] = linalg.Dot(row, row)
 	}
 
-	sp := obs.FromContext(ctx)
-	res := &lambdaSearch{report: FitReport{GCV: math.Inf(1)}, ztz: ztz}
+	nf := float64(n)
+	res := &lambdaSearch{report: FitReport{GCV: math.Inf(1)}}
 	best := &res.report
-	for g, lambda := range opt.Lambdas {
-		r := results[g]
-		if r.ridge > 0 {
-			// The recovery ladder rescued this λ; surface the escalation
-			// instead of hiding it behind a clean GCV trace.
-			sp.Event("gam.recovery", obs.Str("action", robust.ActionRidgeEscalation),
-				obs.F64("lambda", lambda), obs.F64("ridge", r.ridge))
+	beta := make([]float64, p)
+	for _, lambda := range opt.Lambdas {
+		mGCVEvals.Inc()
+		var sumD, sumDQ, shrink float64
+		for i := range beta {
+			beta[i] = 0
 		}
-		if !r.ok {
-			if r.skip == "edf exceeds n" {
-				// A non-positive GCV denominator means the effective
-				// degrees of freedom swallowed the sample — severe
-				// ill-conditioning, not a normal grid miss.
-				mNumWarn.With("nonpositive_gcv_denominator").Inc()
-				sp.Event("gam.numerical_warning", obs.Str("kind", "nonpositive_gcv_denominator"),
-					obs.F64("lambda", lambda), obs.F64("raw", r.raw))
-			}
-			sp.Event("gam.gcv", obs.F64("lambda", lambda), obs.Str("skip", r.skip))
+		for i, ci := range c {
+			di := 1 / (1 + lambda*vals[i])
+			sumD += di
+			sumDQ += di * q[i]
+			shrink += (1 - di) * (1 - di) * ci * ci
+			linalg.AXPY(di*ci, mt.Row(i), beta)
+		}
+		edf := sumD - ridge*sumDQ
+		rawRSS := r0 + shrink - ridge*linalg.Dot(beta[1:], beta[1:])
+		denom := nf - edf
+		if denom <= 0 {
+			// A non-positive GCV denominator means the effective degrees
+			// of freedom swallowed the sample — severe ill-conditioning,
+			// not a normal grid miss.
+			mNumWarn.With("nonpositive_gcv_denominator").Inc()
+			sp.Event("gam.numerical_warning", obs.Str("kind", "nonpositive_gcv_denominator"),
+				obs.F64("lambda", lambda), obs.F64("raw", denom))
+			sp.Event("gam.gcv", obs.F64("lambda", lambda), obs.Str("skip", "edf exceeds n"))
 			continue
 		}
-		if r.rawRSS < 0 {
-			// A negative RSS from the sufficient-statistics identity is
-			// cancellation error: the clamp keeps GCV defined, but the
-			// raw magnitude is the conditioning signal.
+		rss := rawRSS
+		if rss < 0 {
+			// zᵀWz − ‖c‖² cancels when the fit is near-exact: the clamp
+			// keeps GCV defined, but the raw magnitude is the
+			// conditioning signal.
+			rss = 0
 			mNumWarn.With("negative_rss").Inc()
 			sp.Event("gam.numerical_warning", obs.Str("kind", "negative_rss"),
-				obs.F64("lambda", lambda), obs.F64("raw", r.rawRSS))
+				obs.F64("lambda", lambda), obs.F64("raw", rawRSS))
 		}
-		sp.Event("gam.gcv", obs.F64("lambda", lambda), obs.F64("gcv", r.gcv), obs.F64("edf", r.edf))
+		gcv := nf * rss / (denom * denom)
+		sp.Event("gam.gcv", obs.F64("lambda", lambda), obs.F64("gcv", gcv), obs.F64("edf", edf))
 		best.Lambdas = append(best.Lambdas, lambda)
-		best.GCVs = append(best.GCVs, r.gcv)
-		if r.gcv < best.GCV {
-			best.GCV = r.gcv
+		best.GCVs = append(best.GCVs, gcv)
+		if gcv < best.GCV {
+			best.GCV = gcv
 			best.Lambda = lambda
-			best.EDF = r.edf
-			best.Scale = r.rss / (n - r.edf)
-			res.beta = r.beta
-			res.chol = r.chol
-			res.rss = r.rss
+			best.EDF = edf
+			best.Scale = rss / denom
+			res.rss = rss
 		}
 	}
-	if res.beta == nil {
-		return nil, fmt.Errorf("gam: no λ in the grid produced a solvable system: %w", robust.ErrNumerical)
+	if math.IsInf(best.GCV, 1) {
+		return nil, fmt.Errorf("gam: no λ in the grid produced a finite GCV score: %w", robust.ErrNumerical)
 	}
+	sp.Set(obs.F64("lambda", best.Lambda))
+	if res.chol, _, err = factorizeRecover(sp, xtx, s, best.Lambda, fitKey); err != nil {
+		return nil, err
+	}
+	res.beta = res.chol.Solve(xtz)
 	return res, nil
 }
 
-func fitGaussian(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, y []float64, opt Options, fitKey int) (*Model, error) {
-	ls, err := searchLambda(ctx, d, s, nil, y, opt, fitKey)
+// whiten returns L⁻¹SL⁻ᵀ for the factor L of ch and symmetric s:
+// Y = L⁻¹S, then L⁻¹Yᵀ, transposed. The transpose keeps, as the lower
+// triangle SymEigen reads, the entries each of whose rows came early
+// in both forward solves; on the gam fixtures that halves the EDF's
+// rounding error against exact arithmetic.
+func whiten(ch *linalg.Cholesky, s *linalg.Matrix) *linalg.Matrix {
+	y := s.Clone()
+	ch.SolveLMatrix(y)
+	y = y.T()
+	ch.SolveLMatrix(y)
+	return y.T()
+}
+
+func (dz *Design) fitGaussian(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, opt Options, fitKey int) (*Model, error) {
+	xtx, xty, yty, err := dz.normalEquations(ctx, d)
+	if err != nil {
+		return nil, err
+	}
+	ls, err := searchLambda(ctx, xtx, xty, yty, d.n, s, opt, fitKey)
 	if err != nil {
 		return nil, err
 	}
 	// Deviance explained: 1 − RSS/TSS at the optimum.
 	n := float64(d.n)
 	mean := 0.0
-	for _, v := range y {
+	for _, v := range dz.y {
 		mean += v
 	}
 	mean /= n
-	if tss := ls.ztz - n*mean*mean; tss > 0 {
+	if tss := yty - n*mean*mean; tss > 0 {
 		ls.report.DevExplained = 1 - ls.rss/tss
 	}
 	return &Model{spec: spec, design: d, beta: ls.beta, chol: ls.chol, report: ls.report}, nil
+}
+
+// leadingBlock returns the leading k×k principal block of m (m itself
+// when k covers it).
+func leadingBlock(m *linalg.Matrix, k int) *linalg.Matrix {
+	if k == m.Rows {
+		return m
+	}
+	b := linalg.NewMatrix(k, k)
+	for i := 0; i < k; i++ {
+		copy(b.Row(i), m.Row(i)[:k])
+	}
+	return b
 }
 
 // maxHalvings bounds the P-IRLS step-halving recovery: a step whose
@@ -481,8 +604,14 @@ func fitLogit(ctx context.Context, spec Spec, d *design, s *linalg.Matrix, y []f
 		}); err != nil {
 			return false, robust.CtxErr(err)
 		}
-		var err error
-		if ls, err = searchLambda(ictx, d, s, w, z, opt, fitKey); err != nil {
+		_, asp := obs.Start(ictx, "gam.normal_equations", obs.Int("rows", d.n),
+			obs.Int("cols", d.p), obs.Int("workers", par.Workers()))
+		xtx, xtz, ztz, err := accumulateNormal(ictx, d, w, z, 0)
+		asp.End()
+		if err != nil {
+			return false, robust.CtxErr(err)
+		}
+		if ls, err = searchLambda(ictx, xtx, xtz, ztz, d.n, s, opt, fitKey); err != nil {
 			return false, err
 		}
 		lambda := ls.report.Lambda

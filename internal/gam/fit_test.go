@@ -1,11 +1,18 @@
 package gam
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"gef/internal/dataset"
+	"gef/internal/linalg"
+	"gef/internal/obs"
+	"gef/internal/robust"
 	"gef/internal/stats"
 )
 
@@ -523,4 +530,329 @@ func TestLogSpace(t *testing.T) {
 		}
 	}()
 	LogSpace(0, 1, 3)
+}
+
+// refPoint is one λ of the reference search's GCV trace.
+type refPoint struct{ lambda, gcv, edf float64 }
+
+// refSearch is the per-λ factorization search that searchLambda's
+// single decomposition replaced, kept as a test oracle: for every λ it
+// factorizes XᵀWX + λS, reads the EDF tr((XᵀWX+λS)⁻¹XᵀWX) off p
+// solves and the RSS off the normal-equation identity
+// zᵀWz − 2βᵀXᵀWz + βᵀXᵀWXβ. It returns the trace and the chosen λ's β
+// and factor.
+func refSearch(t *testing.T, xtx *linalg.Matrix, xtz []float64, ztz float64, n int, s *linalg.Matrix, lambdas []float64) ([]refPoint, float64, []float64, *linalg.Cholesky) {
+	t.Helper()
+	p := xtx.Rows
+	nf := float64(n)
+	var trace []refPoint
+	bestGCV, bestLambda := math.Inf(1), 0.0
+	var bestBeta []float64
+	var bestChol *linalg.Cholesky
+	col := make([]float64, p)
+	for _, lambda := range lambdas {
+		ch, err := linalg.FactorizeSPD(penalizedSystem(xtx, s, lambda, 0))
+		if err != nil {
+			t.Fatalf("reference factorization at λ=%g: %v", lambda, err)
+		}
+		beta := ch.Solve(xtz)
+		var edf float64
+		for j := 0; j < p; j++ {
+			for i := range col {
+				col[i] = xtx.At(i, j)
+			}
+			ch.SolveInPlace(col)
+			edf += col[j]
+		}
+		rss := math.Max(ztz-2*linalg.Dot(beta, xtz)+quadForm(xtx, beta), 0)
+		denom := nf - edf
+		if denom <= 0 {
+			continue
+		}
+		gcv := nf * rss / (denom * denom)
+		trace = append(trace, refPoint{lambda, gcv, edf})
+		if gcv < bestGCV {
+			bestGCV, bestLambda, bestBeta, bestChol = gcv, lambda, beta, ch
+		}
+	}
+	return trace, bestLambda, bestBeta, bestChol
+}
+
+// relDiff is |a−b| relative to max(|a|, |b|, 1e-300).
+func relDiff(a, b float64) float64 {
+	return math.Abs(a-b) / math.Max(math.Max(math.Abs(a), math.Abs(b)), 1e-300)
+}
+
+// checkSearchAgainstReference runs searchLambda on one set of normal
+// equations and requires the reference search's λ choice, its GCV trace
+// and per-λ EDF to 1e-9 relative, and its β and Cholesky factor bitwise
+// at the chosen λ. It returns the search's β.
+func checkSearchAgainstReference(t *testing.T, name string, xtx *linalg.Matrix, xtz []float64, ztz float64, n int, s *linalg.Matrix, opt Options) []float64 {
+	t.Helper()
+	ms := obs.NewMemorySink()
+	obs.SetSink(ms)
+	ctx, root := obs.Start(context.Background(), "test.search")
+	got, err := searchLambda(ctx, xtx, xtz, ztz, n, s, opt, -1)
+	root.End()
+	obs.SetSink(nil)
+	if err != nil {
+		t.Fatalf("%s: searchLambda: %v", name, err)
+	}
+	var events []refPoint
+	for _, sp := range ms.Spans() {
+		if sp.Name != "gam.gcv" {
+			continue
+		}
+		var ev refPoint
+		for _, a := range sp.Attrs {
+			switch a.Key {
+			case "lambda":
+				ev.lambda = a.Value.(float64)
+			case "gcv":
+				ev.gcv = a.Value.(float64)
+			case "edf":
+				ev.edf = a.Value.(float64)
+			}
+		}
+		events = append(events, ev)
+	}
+	trace, lambda, beta, chol := refSearch(t, xtx, xtz, ztz, n, s, opt.Lambdas)
+	if len(events) != len(trace) || len(got.report.GCVs) != len(trace) {
+		t.Fatalf("%s: %d gcv events and %d GCVs, reference has %d", name, len(events), len(got.report.GCVs), len(trace))
+	}
+	// Both searches read RSS off the normal equations, as a difference
+	// from zᵀWz, and EDF off a system whose redundant directions only
+	// the relative ridge ridgeScale pins down. Each quantity therefore
+	// carries a rounding floor that no float64 method escapes — on a
+	// near-interpolating working model the reference's own GCV is off by
+	// 1e-7 relative to exact arithmetic — so agreement is required to
+	// 1e-9 relative plus that floor, p rounding units of the cancelled
+	// magnitude: p·eps·zᵀWz for RSS, p·eps/ridgeScale for EDF.
+	const eps = 0x1p-52
+	nf, pf := float64(n), float64(xtx.Rows)
+	edfFloor := pf * eps / ridgeScale
+	for g, ref := range trace {
+		ev := events[g]
+		//lint:ignore floatcmp both traces walk the same grid values in order
+		if ev.lambda != ref.lambda || got.report.Lambdas[g] != ref.lambda {
+			t.Fatalf("%s: grid point %d is λ=%g, reference λ=%g", name, g, ev.lambda, ref.lambda)
+		}
+		denom := nf - ref.edf
+		gcvFloor := nf * pf * eps * math.Abs(ztz) / (denom * denom)
+		if d := math.Abs(got.report.GCVs[g] - ref.gcv); !(d <= 1e-9*math.Abs(ref.gcv)+gcvFloor) {
+			t.Errorf("%s: λ=%g GCV %v vs reference %v (rel %g)", name, ref.lambda, got.report.GCVs[g], ref.gcv, relDiff(got.report.GCVs[g], ref.gcv))
+		}
+		if d := math.Abs(ev.edf - ref.edf); !(d <= 1e-9*math.Abs(ref.edf)+edfFloor) {
+			t.Errorf("%s: λ=%g EDF %v vs reference %v (rel %g)", name, ref.lambda, ev.edf, ref.edf, relDiff(ev.edf, ref.edf))
+		}
+	}
+	//lint:ignore floatcmp the λ choice must be the same grid value
+	if got.report.Lambda != lambda {
+		t.Fatalf("%s: chose λ=%g, reference chose λ=%g", name, got.report.Lambda, lambda)
+	}
+	for j := range beta {
+		if math.Float64bits(got.beta[j]) != math.Float64bits(beta[j]) {
+			t.Fatalf("%s: β[%d] = %v, reference %v", name, j, got.beta[j], beta[j])
+		}
+	}
+	gotL, refL := got.chol.PackLower(), chol.PackLower()
+	for k := range refL {
+		if math.Float64bits(gotL[k]) != math.Float64bits(refL[k]) {
+			t.Fatalf("%s: Cholesky factor entry %d = %v, reference %v", name, k, gotL[k], refL[k])
+		}
+	}
+	return got.beta
+}
+
+// TestSearchLambdaMatchesPerLambdaReference pins the one-decomposition
+// λ search to the per-λ factorization search on the gam fixtures:
+// identity fits (splines, factor and tensor terms) and the working
+// models of logit fits.
+func TestSearchLambdaMatchesPerLambdaReference(t *testing.T) {
+	robust.SetInjector(nil)
+	type fixture struct {
+		name string
+		spec Spec
+		xs   [][]float64
+		y    []float64
+		opt  Options
+	}
+	r := rand.New(rand.NewSource(4))
+	two := make([][]float64, 3000)
+	yTwo := make([]float64, len(two))
+	yProd := make([]float64, len(two))
+	for i := range two {
+		a, b := r.Float64(), r.Float64()
+		two[i] = []float64{a, b, float64(r.Intn(3))}
+		yTwo[i] = a + math.Sin(2*math.Pi*b) + 0.05*r.NormFloat64() + 0.5*two[i][2]
+		yProd[i] = 4*(a-0.5)*(b-0.5) + 0.05*r.NormFloat64()
+	}
+	oneSpline := Spec{Terms: []TermSpec{{Kind: Spline, Feature: 0}}}
+	mixed := Spec{Terms: []TermSpec{
+		{Kind: Spline, Feature: 0},
+		{Kind: Spline, Feature: 1, NumBasis: 14},
+		{Kind: Factor, Feature: 2},
+	}}
+	tensor := Spec{Terms: []TermSpec{
+		{Kind: Spline, Feature: 0}, {Kind: Spline, Feature: 1},
+		{Kind: Tensor, Feature: 0, Feature2: 1, NumBasis: 6},
+	}}
+	var fixtures []fixture
+	xs, y := gen1D(2000, func(x float64) float64 { return math.Sin(6 * x) }, 0.1, 2)
+	fixtures = append(fixtures, fixture{"sin", Spec{Terms: []TermSpec{{Kind: Spline, Feature: 0, NumBasis: 16}}}, xs, y, Options{}})
+	xs, y = gen1D(800, func(x float64) float64 { return 0 }, 1, 3)
+	fixtures = append(fixtures, fixture{"noise", oneSpline, xs, y, Options{}})
+	xs, y = gen1D(1500, func(x float64) float64 { return math.Sin(4 * x) }, 0.02, 20)
+	fixtures = append(fixtures, fixture{"quiet fine grid", oneSpline, xs, y, Options{Lambdas: LogSpace(1e-4, 1e6, 21)}})
+	fixtures = append(fixtures,
+		fixture{"splines and factor", mixed, two, yTwo, Options{}},
+		fixture{"tensor", tensor, two, yProd, Options{}})
+	xs, y = logitClasses(2000, 8, 9)
+	fixtures = append(fixtures, fixture{"logit classification", Spec{Terms: oneSpline.Terms, Link: Logit}, xs, y, Options{}})
+	xs, y = gen1D(1200, func(x float64) float64 { return sigmoid(6 * (x - 0.5)) }, 0, 10)
+	fixtures = append(fixtures, fixture{"logit probabilities", Spec{Terms: oneSpline.Terms, Link: Logit}, xs, y, Options{}})
+	ds := dataset.GPrime(600, 0.1, 23)
+	yg := make([]float64, len(ds.Y))
+	for i, v := range ds.Y {
+		if v > 2.5 {
+			yg[i] = 1
+		}
+	}
+	fixtures = append(fixtures, fixture{"logit gprime", Spec{Link: Logit, Terms: []TermSpec{
+		{Kind: Spline, Feature: 0}, {Kind: Spline, Feature: 1},
+		{Kind: Tensor, Feature: 2, Feature2: 3, NumBasis: 5},
+	}}, ds.X, yg, Options{}})
+
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			spec := fx.spec
+			if spec.Link == "" {
+				spec.Link = Identity
+			}
+			d, err := buildDesign(spec, fx.xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := d.penaltyMatrix()
+			opt := fx.opt.withDefaults()
+			if fx.spec.Link != Logit {
+				xtx, xtz, ztz, err := accumulateNormal(context.Background(), d, nil, fx.y, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSearchAgainstReference(t, fx.name, xtx, xtz, ztz, d.n, s, opt)
+				return
+			}
+			// Logit: the working models of the first P-IRLS iterates,
+			// each taken at the previous search's β.
+			eta := make([]float64, d.n)
+			for i, yi := range fx.y {
+				mu := 0.5*yi + 0.25
+				eta[i] = math.Log(mu / (1 - mu))
+			}
+			w, z := make([]float64, d.n), make([]float64, d.n)
+			for it := 0; it < 4; it++ {
+				for i := range eta {
+					mu := math.Min(math.Max(sigmoid(eta[i]), 1e-5), 1-1e-5)
+					w[i] = mu * (1 - mu)
+					z[i] = eta[i] + (fx.y[i]-mu)/w[i]
+				}
+				xtx, xtz, ztz, err := accumulateNormal(context.Background(), d, w, z, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				beta := checkSearchAgainstReference(t, fmt.Sprintf("%s iteration %d", fx.name, it), xtx, xtz, ztz, d.n, s, opt)
+				for i := range eta {
+					eta[i] = d.rowDot(i, beta)
+				}
+			}
+		})
+	}
+}
+
+// TestPrefixFitMatchesStandaloneFit fits leading-terms prefixes of a
+// spline+factor+tensor spec from one shared Design, in an order that
+// both widens and narrows the accumulated XᵀX, and of a Design extended
+// from a prefix by tensor terms, and requires each model to be bitwise
+// equal to fitting that prefix spec alone, for both links.
+func TestPrefixFitMatchesStandaloneFit(t *testing.T) {
+	robust.SetInjector(nil)
+	ds := dataset.GPrime(900, 0.1, 29)
+	xs := make([][]float64, len(ds.X))
+	for i, row := range ds.X {
+		xs[i] = append(append([]float64(nil), row...), float64(i%4))
+	}
+	yBin := make([]float64, len(ds.Y))
+	for i, v := range ds.Y {
+		if v > 2.5 {
+			yBin[i] = 1
+		}
+	}
+	terms := []TermSpec{
+		{Kind: Spline, Feature: 0}, {Kind: Spline, Feature: 1},
+		{Kind: Factor, Feature: len(xs[0]) - 1}, {Kind: Spline, Feature: 2, NumBasis: 8},
+		{Kind: Tensor, Feature: 0, Feature2: 1, NumBasis: 5},
+	}
+	opt := Options{Lambdas: LogSpace(1e-3, 1e4, 8)}
+	for _, tc := range []struct {
+		link Link
+		y    []float64
+	}{{Identity, ds.Y}, {Logit, yBin}} {
+		shared := NewDesign(Spec{Terms: terms, Link: tc.link}, xs, tc.y)
+		extra := []TermSpec{{Kind: Tensor, Feature: 1, Feature2: 2, NumBasis: 4}, {Kind: Factor, Feature: len(xs[0]) - 1}}
+		extended := shared.Extend(2, extra...)
+		for _, c := range []struct {
+			dz    *Design
+			k     int
+			terms []TermSpec
+		}{
+			{shared, 2, terms[:2]}, {shared, 1, terms[:1]}, {shared, 5, terms}, {shared, 4, terms[:4]},
+			{extended, 3, append(terms[:2:2], extra[0])}, {extended, 4, append(terms[:2:2], extra...)},
+			{extended, 2, terms[:2]},
+		} {
+			name := fmt.Sprintf("%s %d terms", tc.link, c.k)
+			got, err := c.dz.FitCtx(context.Background(), c.k, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := Fit(Spec{Terms: c.terms, Link: tc.link}, xs, tc.y, opt)
+			if err != nil {
+				t.Fatalf("%s standalone: %v", name, err)
+			}
+			requireSameModel(t, name, got, want)
+		}
+	}
+}
+
+// requireSameModel requires two fitted models to agree bitwise in
+// coefficients, column means, λ and GCV trace, and serialized form.
+func requireSameModel(t *testing.T, name string, got, want *Model) {
+	t.Helper()
+	same := func(what string, a, b []float64) {
+		if len(a) != len(b) {
+			t.Fatalf("%s: %s lengths %d vs %d", name, what, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: %s[%d] = %v vs %v", name, what, i, a[i], b[i])
+			}
+		}
+	}
+	same("β", got.beta, want.beta)
+	same("column means", got.colMeans, want.colMeans)
+	same("GCV trace", got.report.GCVs, want.report.GCVs)
+	same("λ grid", got.report.Lambdas, want.report.Lambdas)
+	same("λ, EDF, scale", []float64{got.report.Lambda, got.report.EDF, got.report.Scale, got.report.GCV},
+		[]float64{want.report.Lambda, want.report.EDF, want.report.Scale, want.report.GCV})
+	gb, err := got.Marshal(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := want.Marshal(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, wb) {
+		t.Fatalf("%s: serialized models differ", name)
+	}
 }

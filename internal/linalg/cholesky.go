@@ -65,9 +65,23 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 
 // SolveInPlace solves A x = b, overwriting b with x.
 func (c *Cholesky) SolveInPlace(b []float64) {
+	c.SolveL(b)
+	// Back substitution: Lᵀ x = y.
 	n := c.n
 	l := c.l
-	// Forward substitution: L y = b.
+	for i := n - 1; i >= 0; i-- {
+		sum := b[i]
+		for k := i + 1; k < n; k++ {
+			sum -= l[k*n+i] * b[k]
+		}
+		b[i] = sum / l[i*n+i]
+	}
+}
+
+// SolveL solves the forward system L y = b, overwriting b with y.
+func (c *Cholesky) SolveL(b []float64) {
+	n := c.n
+	l := c.l
 	for i := 0; i < n; i++ {
 		sum := b[i]
 		row := l[i*n : i*n+i]
@@ -76,13 +90,39 @@ func (c *Cholesky) SolveInPlace(b []float64) {
 		}
 		b[i] = sum / l[i*n+i]
 	}
-	// Back substitution: Lᵀ x = y.
-	for i := n - 1; i >= 0; i-- {
-		sum := b[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l[k*n+i] * b[k]
+}
+
+// SolveLMatrix solves L X = B for every column of b at once,
+// overwriting b with X. It works on whole rows of b (row i of X is row
+// i of B minus multiples of the rows above it), so its inner loops are
+// independent and contiguous rather than dependent dot products.
+func (c *Cholesky) SolveLMatrix(b *Matrix) {
+	if b.Rows != c.n {
+		panic("linalg: dimension mismatch in Cholesky.SolveLMatrix")
+	}
+	n := c.n
+	for i := 0; i < n; i++ {
+		xi := b.Row(i)
+		for k, v := range c.l[i*n : i*n+i] {
+			AXPY(-v, b.Row(k), xi)
 		}
-		b[i] = sum / l[i*n+i]
+		Scale(xi, 1/c.l[i*n+i])
+	}
+}
+
+// SolveLTMatrix solves Lᵀ X = B for every column of b at once,
+// overwriting b with X, by row operations like SolveLMatrix.
+func (c *Cholesky) SolveLTMatrix(b *Matrix) {
+	if b.Rows != c.n {
+		panic("linalg: dimension mismatch in Cholesky.SolveLTMatrix")
+	}
+	n := c.n
+	for i := n - 1; i >= 0; i-- {
+		xi := b.Row(i)
+		Scale(xi, 1/c.l[i*n+i])
+		for k, v := range c.l[i*n : i*n+i] {
+			AXPY(-v, xi, b.Row(k))
+		}
 	}
 }
 
@@ -129,25 +169,6 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.l[i*c.n+i])
 	}
 	return 2 * s
-}
-
-// TraceSolve returns tr(A⁻¹ B) for a square matrix B of the same size.
-// This is the workhorse of the GCV effective-degrees-of-freedom
-// computation: edf = tr((XᵀX+λS)⁻¹ XᵀX).
-func (c *Cholesky) TraceSolve(b *Matrix) float64 {
-	if b.Rows != c.n || b.Cols != c.n {
-		panic("linalg: dimension mismatch in TraceSolve")
-	}
-	col := make([]float64, c.n)
-	var tr float64
-	for j := 0; j < c.n; j++ {
-		for i := 0; i < c.n; i++ {
-			col[i] = b.At(i, j)
-		}
-		c.SolveInPlace(col)
-		tr += col[j]
-	}
-	return tr
 }
 
 // PackLower returns the lower-triangular factor in packed row-major form

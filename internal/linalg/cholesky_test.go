@@ -104,22 +104,6 @@ func TestCholeskyLogDet(t *testing.T) {
 	}
 }
 
-func TestTraceSolve(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	n := 7
-	a := randSPD(r, n)
-	b := randSPD(r, n)
-	ch, err := NewCholesky(a, 0)
-	if err != nil {
-		t.Fatalf("Cholesky: %v", err)
-	}
-	got := ch.TraceSolve(b)
-	want := Mul(ch.Inverse(), b).Trace()
-	if !almostEqual(got, want, 1e-8*math.Abs(want)) {
-		t.Errorf("TraceSolve = %v, want %v", got, want)
-	}
-}
-
 func TestSolveMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	n := 5
@@ -208,5 +192,36 @@ func TestSolveSPD(t *testing.T) {
 	}
 	if !almostEqual(x[0], 2, 1e-10) || !almostEqual(x[1], 3, 1e-10) {
 		t.Errorf("SolveSPD = %v, want [2 3]", x)
+	}
+}
+
+// TestSolveLMatrices checks the row-operation triangular solves against
+// a column-by-column solve: L⁻¹B then L⁻ᵀ of that is A⁻¹B.
+func TestSolveLMatrices(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	n := 9
+	a := randSPD(r, n)
+	b := randMatrix(r, n, 4)
+	ch, err := NewCholesky(a, 0)
+	if err != nil {
+		t.Fatalf("Cholesky: %v", err)
+	}
+	x := b.Clone()
+	ch.SolveLMatrix(x)
+	// L·(L⁻¹B) = B: rebuild L from the packed factor.
+	l := NewMatrix(n, n)
+	packed := ch.PackLower()
+	for i, k := 0, 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			l.Set(i, j, packed[k])
+			k++
+		}
+	}
+	if d := MaxAbsDiff(Mul(l, x), b); d > 1e-12 {
+		t.Errorf("|L·SolveLMatrix(B) − B| = %g", d)
+	}
+	ch.SolveLTMatrix(x)
+	if d := MaxAbsDiff(x, ch.SolveMatrix(b)); d > 1e-12 {
+		t.Errorf("|SolveLTMatrix(SolveLMatrix(B)) − A⁻¹B| = %g", d)
 	}
 }

@@ -1,11 +1,14 @@
 // Package linalg provides the small dense linear-algebra kernel used by
 // the GAM fitter and the statistics helpers: dense matrices, Cholesky
-// factorization, triangular solves and a handful of BLAS-like updates.
+// factorization, triangular solves, a symmetric eigensolver and a
+// handful of BLAS-like updates.
 //
 // The package is deliberately minimal: everything GEF needs is symmetric
-// positive (semi-)definite solves on matrices of a few hundred columns, so
-// a straightforward row-major implementation with good cache behaviour is
-// both sufficient and easy to audit.
+// positive (semi-)definite solves, plus one symmetric eigendecomposition
+// per GAM λ search (SymEigen: Householder tridiagonalization and
+// implicit QL, after EISPACK tred2/tql2), on matrices of a few hundred
+// columns, so a straightforward row-major implementation with good
+// cache behaviour is both sufficient and easy to audit.
 package linalg
 
 import (

@@ -20,7 +20,7 @@ import (
 //     (ph "i", scope "t");
 //   - pid is always 1; tid is a lane derived from the span lineage: a
 //     span inherits its parent's lane while it is the only open child,
-//     and overlapping siblings (the parallel λ-grid, par fan-outs) are
+//     and overlapping siblings (par fan-outs, concurrent requests) are
 //     moved to fresh lanes keyed by their own span id. Lanes are
 //     goroutine-stable — a span and its same-goroutine descendants stay
 //     on one lane — so every lane's B/E stream is properly nested, which

@@ -95,7 +95,7 @@ func TestChromeTraceFromLiveSpans(t *testing.T) {
 }
 
 // TestChromeTraceLaneSplitting feeds the sink overlapping sibling spans
-// — the shape the parallel λ-grid produces — and checks they land on
+// — the shape par fan-outs produce — and checks they land on
 // separate lanes so each lane's B/E stream stays properly nested.
 func TestChromeTraceLaneSplitting(t *testing.T) {
 	var buf bytes.Buffer

@@ -1,8 +1,8 @@
 // Package par is GEF's deterministic parallel runtime. Every stage of
-// the pipeline — forest labeling of D*, the GAM's XᵀWX accumulation and
-// λ-grid GCV search, P-IRLS reweighting, GBDT histogram building,
-// per-instance TreeSHAP — is embarrassingly parallel over rows, features
-// or grid points, and all of it funnels through the two primitives here
+// the pipeline — forest labeling of D*, the GAM's XᵀWX accumulation,
+// P-IRLS reweighting, GBDT histogram building, per-instance TreeSHAP —
+// is embarrassingly parallel over rows or features, and all of it
+// funnels through the two primitives here
 // (the geflint `rawgo` analyzer enforces that no other package spawns
 // goroutines directly).
 //

@@ -358,8 +358,8 @@ func Generate(f *forest.Forest, d *Domains, n int, seed int64) *dataset.Dataset 
 // draws from one sequential RNG stream (so D*'s inputs are identical
 // for a given seed regardless of parallelism); the forest labeling —
 // the expensive part, one full forest traversal per row — runs through
-// the flat structure-of-arrays batch kernels (forest.Compiled), in
-// parallel over fixed row chunks with disjoint writes, hence
+// the sealed forest's flat structure-of-arrays batch kernels (f.Flat()),
+// in parallel over fixed row chunks with disjoint writes, hence
 // bit-identical at any worker count. The caller's ctx threads all the
 // way into the traversal, so deadlines cancel the labeling itself.
 // Returns ctx.Err() if canceled.
