@@ -30,7 +30,7 @@ func main() {
 	var (
 		exp     = flag.String("exp", "all", "comma-separated experiment ids (fig2..fig13, table1, table2) or 'all'")
 		scale   = flag.String("scale", "quick", "experiment scale: quick or paper")
-		family  = flag.String("family", "", "comma-separated explainer families for family-aware experiments (extra-families); empty = all registered")
+		family  = flag.String("family", "", "comma-separated explainer families for family-aware experiments (extra-families); empty = all")
 		seed    = flag.Int64("seed", 1, "random seed")
 		out     = flag.String("out", "", "directory for CSV dumps (optional)")
 		list    = flag.Bool("list", false, "list available experiments and exit")

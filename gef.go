@@ -19,8 +19,10 @@
 // data model and GBDT/Random-Forest trainers (internal/forest,
 // internal/gbdt), threshold-based sampling strategies (internal/sampling),
 // feature and interaction selection (internal/featsel), the penalized
-// B-spline GAM fitter (internal/gam), and the SHAP/LIME comparison
-// baselines (internal/shap, internal/lime).
+// B-spline GAM fitter (internal/gam), the rule and kernel-smoother
+// explainer families (internal/rules, internal/smoother), and the
+// SHAP/LIME/distilled-tree comparison baselines (internal/shap,
+// internal/lime, internal/distill).
 package gef
 
 import (
@@ -137,13 +139,11 @@ const (
 	// FamilySmoother is the forest-guided kernel smoother with
 	// proximity-adaptive bandwidths (see SmootherConfig).
 	FamilySmoother = core.FamilySmoother
-	// FamilyLIME fits one global LIME ridge surrogate (baseline).
-	FamilyLIME = core.FamilyLIME
-	// FamilyDistill distills the forest into one shallow tree (baseline).
-	FamilyDistill = core.FamilyDistill
 )
 
-// Families returns the registered explainer family names, sorted.
+// Families returns the explainer family names in presentation order:
+// gam, rules, smoother. The LIME and single-tree distillation baselines
+// are not families; they run through ExplainLIME and DistillTree.
 func Families() []string { return core.Families() }
 
 // RulesConfig configures the rule explainer family (Config.Rules).
@@ -507,8 +507,8 @@ func NewTextTraceSink(w io.Writer) TraceSink { return obs.NewTextSink(w) }
 func NewJSONTraceSink(w io.Writer) TraceSink { return obs.NewJSONSink(w) }
 
 // CombineTraceSinks fans spans out to several sinks (nil entries are
-// dropped).
-func CombineTraceSinks(sinks ...TraceSink) TraceSink { return obs.MultiSink(sinks...) }
+// dropped); its Flush flushes every sink and joins all their errors.
+func CombineTraceSinks(sinks ...TraceSink) TraceSink { return obs.NewSinkTee(sinks...) }
 
 // EnableStageProfiling toggles runtime/pprof goroutine labels per span:
 // with it on, CPU profiles attribute samples to pipeline stages

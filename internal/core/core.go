@@ -29,10 +29,10 @@ import (
 // and its K; everything else has paper defaults.
 type Config struct {
 	// Family selects the explainer family the fit stage produces
-	// (default FamilyGAM, the paper's explainer). See Families() for the
-	// registered names; every family shares the upstream pipeline
-	// stages, so switching families on a warm engine reuses the cached
-	// forest statistics, domains and D* sample.
+	// (default FamilyGAM, the paper's explainer): one of gam, rules and
+	// smoother (see Families()). Every family shares the upstream
+	// pipeline stages, so switching families on a warm engine reuses the
+	// cached forest statistics, domains and D* sample.
 	Family string
 	// NumUnivariate is |F′|, the number of univariate components.
 	NumUnivariate int
@@ -387,7 +387,7 @@ func (e *Engine) explainCtx(ctx context.Context, f *forest.Forest, cfg Config) (
 	return ex, nil
 }
 
-// fitSurrogate resolves Config.Family against the surrogate registry
+// fitSurrogate resolves Config.Family against the family table
 // and runs the fit stage, walking the cross-family fallback ladder when
 // a family fails numerically even after its own in-family recovery.
 // Each fallback rung is recorded in the pipeline's degradation list, so
@@ -434,9 +434,7 @@ func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pa
 				Features:   p.features,
 				Pairs:      pairs,
 				Thresholds: p.stats.thresholds,
-				Domains:    p.domains,
 				Train:      p.train,
-				Test:       p.test,
 			})
 			if ferr != nil {
 				// In-family degradations that preceded the failure still

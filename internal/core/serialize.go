@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"gef/internal/featsel"
-	"gef/internal/gam"
 	"gef/internal/obs"
 	"gef/internal/robust"
 	"gef/internal/sampling"
@@ -95,7 +94,7 @@ func (e *Explanation) Marshal(includeCI bool) ([]byte, error) {
 // forest cross-check) must not be called on a reloaded explanation.
 // Rule-family payloads reload as summary-only models (they predict NaN
 // — the source forest is not part of the payload). A blob tagged with
-// an unregistered family fails with a typed robust.ErrConfig.
+// an unknown family fails with a typed robust.ErrConfig.
 func Unmarshal(data []byte) (*Explanation, error) {
 	_, sp := obs.Start(context.Background(), "gef.unmarshal_explanation",
 		obs.Int("bytes", len(data)))
@@ -124,22 +123,16 @@ func Unmarshal(data []byte) (*Explanation, error) {
 		Config:       ej.Config,
 		Degradations: ej.Degradations,
 	}
+	raw := ej.Payload
 	if fam == FamilyGAM {
-		model, err := gam.UnmarshalModel(ej.Model)
-		if err != nil {
-			return nil, fmt.Errorf("gef: reloading explanation model: %w", err)
-		}
-		ex.Model = model
-		ex.Surrogate = &gamModel{m: model}
-		return ex, nil
+		raw = ej.Model // the gam family keeps its historical field
 	}
-	codec, ok := sur.(PayloadCodec)
-	if !ok {
-		return nil, fmt.Errorf("gef: family %q cannot reload serialized payloads: %w", fam, robust.ErrConfig)
-	}
-	m, err := codec.UnmarshalPayload(ej.Payload)
+	m, err := sur.UnmarshalPayload(raw)
 	if err != nil {
 		return nil, fmt.Errorf("gef: reloading %s explanation payload: %w", fam, err)
+	}
+	if g, ok := m.(*gamModel); ok {
+		ex.Model = g.m
 	}
 	ex.Surrogate = m
 	return ex, nil

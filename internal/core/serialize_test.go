@@ -145,18 +145,23 @@ func TestFamilyPayloadRoundTrip(t *testing.T) {
 }
 
 // TestUnknownFamilyTypedError pins forward compatibility: a blob tagged
-// with a family this build does not register must fail with a typed
-// ErrConfig naming the family — never a panic, never a silent gam parse.
+// with a family this build does not know — a future one, or the lime and
+// distill baselines that are no longer fit-stage families — must fail
+// with a typed ErrConfig naming the family, never a panic, never a
+// silent gam parse.
 func TestUnknownFamilyTypedError(t *testing.T) {
-	_, err := Unmarshal([]byte(`{"version":2,"family":"holo","payload":{}}`))
-	if err == nil {
-		t.Fatal("unknown family accepted")
-	}
-	if !errors.Is(err, robust.ErrConfig) {
-		t.Fatalf("err = %v, want robust.ErrConfig", err)
-	}
-	if !strings.Contains(err.Error(), "holo") {
-		t.Fatalf("error %q does not name the unknown family", err)
+	for _, fam := range []string{"holo", "lime", "distill"} {
+		_, err := Unmarshal([]byte(`{"version":2,"family":"` + fam + `","payload":{}}`))
+		if err == nil {
+			t.Errorf("family %q accepted", fam)
+			continue
+		}
+		if !errors.Is(err, robust.ErrConfig) {
+			t.Errorf("family %q: err = %v, want robust.ErrConfig", fam, err)
+		}
+		if !strings.Contains(err.Error(), `"`+fam+`"`) {
+			t.Errorf("error %q does not name the unknown family %q", err, fam)
+		}
 	}
 }
 

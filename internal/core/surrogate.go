@@ -4,25 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"gef/internal/dataset"
 	"gef/internal/featsel"
 	"gef/internal/forest"
 	"gef/internal/gam"
-	"gef/internal/gbdt"
-	"gef/internal/lime"
 	"gef/internal/robust"
 	"gef/internal/rules"
-	"gef/internal/sampling"
 	"gef/internal/smoother"
-	"gef/internal/stats"
 )
 
-// Explainer family names. The fit stage is a registry of Surrogate
+// Explainer family names. The fit stage is a closed set of Surrogate
 // implementations selected by Config.Family; every other pipeline stage
 // (feature selection, domains, D* sampling, interaction ranking) is
 // shared, so switching families on a warm engine reuses all upstream
@@ -37,12 +31,6 @@ const (
 	// FamilySmoother is the forest-guided kernel smoother with
 	// proximity-adaptive bandwidths (internal/smoother).
 	FamilySmoother = "smoother"
-	// FamilyLIME is the global-LIME baseline: one ridge surrogate fitted
-	// around the sampling domains' fill point (internal/lime).
-	FamilyLIME = "lime"
-	// FamilyDistill is the single-tree distillation baseline
-	// (internal/distill's tree trained on the shared D*).
-	FamilyDistill = "distill"
 )
 
 // SurrogateModel is a fitted explainer of any family: it predicts the
@@ -65,24 +53,21 @@ type SurrogateModel interface {
 
 // FitInput is everything the shared pipeline hands a Surrogate: the
 // forest, the defaulted configuration, and the cached upstream artifacts
-// (selected features, ranked pairs, threshold sets, sampling domains and
-// the D* split). Artifacts are shared with the engine cache — fitters
-// must treat them as immutable.
+// (selected features, ranked pairs, threshold sets and the D* training
+// split). Artifacts are shared with the engine cache — fitters must
+// treat them as immutable.
 type FitInput struct {
 	Forest     *forest.Forest
 	Config     Config
 	Features   []int
 	Pairs      []featsel.Pair
 	Thresholds map[int][]float64
-	Domains    *sampling.Domains
 	Train      *dataset.Dataset
-	Test       *dataset.Dataset
 }
 
-// Surrogate is one pluggable explainer family behind the fit stage.
+// Surrogate is one explainer family behind the fit stage.
 type Surrogate interface {
-	// Name is the family name (one of the Family* constants for the
-	// built-in families).
+	// Name is the family name (one of the Family* constants).
 	Name() string
 	// Key returns the family-specific fragment of the fit-stage cache
 	// key, derived from the effective (defaulted) configuration: it must
@@ -93,11 +78,8 @@ type Surrogate interface {
 	// are recorded by the caller's pipeline; an ErrNumerical failure
 	// makes the fit stage walk the family fallback ladder.
 	Fit(ctx context.Context, in *FitInput) (SurrogateModel, []robust.Degradation, error)
-}
-
-// PayloadCodec is implemented by families whose serialized payload can
-// be reloaded into a (possibly reduced-capability) SurrogateModel.
-type PayloadCodec interface {
+	// UnmarshalPayload reloads a payload written by MarshalPayload into
+	// a (possibly reduced-capability) SurrogateModel.
 	UnmarshalPayload(data []byte) (SurrogateModel, error)
 }
 
@@ -110,56 +92,32 @@ var familyFallback = map[string]string{
 	FamilyGAM:      FamilyRules,
 }
 
-var (
-	surrogatesMu sync.Mutex
-	surrogates   = make(map[string]Surrogate)
-)
+// families is the fit stage's closed set of explainer families, in
+// presentation order.
+var families = [...]Surrogate{gamSurrogate{}, rulesSurrogate{}, smootherSurrogate{}}
 
-// RegisterSurrogate adds a family to the fit-stage registry. Registering
-// a duplicate name panics: families are wired at init time and a
-// collision is a programming error, not a runtime condition.
-func RegisterSurrogate(s Surrogate) {
-	surrogatesMu.Lock()
-	defer surrogatesMu.Unlock()
-	if _, dup := surrogates[s.Name()]; dup {
-		panic(fmt.Sprintf("core: surrogate family %q registered twice", s.Name()))
-	}
-	surrogates[s.Name()] = s
-}
-
-// Families returns the registered family names, sorted.
+// Families returns the explainer family names in presentation order:
+// gam, rules, smoother.
 //
-//lint:ignore obsspan registry snapshot over a handful of entries; too cheap to span
+//lint:ignore obsspan copies a three-entry table; too cheap to span
 func Families() []string {
-	surrogatesMu.Lock()
-	defer surrogatesMu.Unlock()
-	names := make([]string, 0, len(surrogates))
-	for n := range surrogates {
-		names = append(names, n)
+	names := make([]string, len(families))
+	for i, s := range families {
+		names[i] = s.Name()
 	}
-	sort.Strings(names)
 	return names
 }
 
 // surrogateFor resolves a family name, failing with a typed ErrConfig
-// that lists the registered families.
+// that lists the known families.
 func surrogateFor(name string) (Surrogate, error) {
-	surrogatesMu.Lock()
-	s, ok := surrogates[name]
-	surrogatesMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("gef: unknown explainer family %q (registered: %s): %w",
-			name, strings.Join(Families(), ", "), robust.ErrConfig)
+	for _, s := range families {
+		if s.Name() == name {
+			return s, nil
+		}
 	}
-	return s, nil
-}
-
-func init() {
-	RegisterSurrogate(gamSurrogate{})
-	RegisterSurrogate(rulesSurrogate{})
-	RegisterSurrogate(smootherSurrogate{})
-	RegisterSurrogate(limeSurrogate{})
-	RegisterSurrogate(distillSurrogate{})
+	return nil, fmt.Errorf("gef: unknown explainer family %q (known: %s): %w",
+		name, strings.Join(Families(), ", "), robust.ErrConfig)
 }
 
 // fitArtifact is the fit stage's cacheable output: the fitted model, its
@@ -181,14 +139,6 @@ func (a *fitArtifact) cost() int64 {
 		p := m.m.Payload()
 		c := int64(len(p.Dict))*int64(len(p.Features)+1)*8 + 512
 		return c + int64(len(p.Bandwidths))*8
-	case *distillModel:
-		nodes := 0
-		for _, t := range m.tree.Trees {
-			nodes += len(t.Nodes)
-		}
-		return int64(nodes)*48 + 512
-	case *limeModel:
-		return int64(len(m.p.Weights)+len(m.p.X0)+len(m.p.SDs))*8 + 512
 	case *gamModel:
 		return m.m.SizeBytes()
 	default:
@@ -351,177 +301,3 @@ func (s *smootherModel) MarshalPayload() ([]byte, error) { return json.Marshal(s
 
 // Smoother returns the concrete kernel-smoother model.
 func (s *smootherModel) Smoother() *smoother.Model { return s.m }
-
-// --- lime ------------------------------------------------------------------
-
-// limeBackgroundCap bounds the D* rows used as the LIME background (the
-// scale estimate converges long before that) and limeSamples the
-// perturbation count of the single global fit.
-const (
-	limeBackgroundCap = 512
-	limeSamples       = 2000
-)
-
-// limeSurrogate fits ONE LIME ridge surrogate around the sampling
-// domains' fill point and serves it globally. That is deliberately the
-// method's weakness the extra-families comparison exposes: a local
-// linear model asked a global question.
-type limeSurrogate struct{}
-
-func (limeSurrogate) Name() string { return FamilyLIME }
-
-// Key versions the adapter: the fit depends only on the D* artifacts
-// (already in the stage key) and Config.Seed (already in the sample
-// key), so a constant fragment makes it cacheable.
-func (limeSurrogate) Key(Config) string { return "v1" }
-
-//lint:ignore obsspan runs inside the engine's fit-stage span; lime.Explain carries its own instrumentation
-func (limeSurrogate) Fit(_ context.Context, in *FitInput) (SurrogateModel, []robust.Degradation, error) {
-	background := in.Train.X
-	if len(background) > limeBackgroundCap {
-		background = background[:limeBackgroundCap]
-	}
-	x0 := append([]float64(nil), in.Domains.Fill...)
-	ex, err := lime.Explain(in.Forest.Predict, background, x0, lime.Config{
-		NumSamples: limeSamples,
-		Seed:       in.Config.Seed + 11,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("lime fit: %w: %v", robust.ErrNumerical, err)
-	}
-	// Recompute the per-feature scales exactly as lime.Explain does, so
-	// the wrapped predictor applies the coefficients in the same z-space
-	// they were fitted in.
-	sds := make([]float64, len(x0))
-	col := make([]float64, len(background))
-	for j := range sds {
-		for i, row := range background {
-			col[i] = row[j]
-		}
-		sds[j] = stats.StdDev(col)
-		if sds[j] == 0 {
-			sds[j] = 1
-		}
-	}
-	return &limeModel{p: limePayload{
-		Intercept: ex.Intercept,
-		Weights:   ex.Weights,
-		X0:        x0,
-		SDs:       sds,
-		R2:        ex.R2,
-	}}, nil, nil
-}
-
-func (limeSurrogate) UnmarshalPayload(data []byte) (SurrogateModel, error) {
-	var p limePayload
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("parsing lime payload: %w", err)
-	}
-	if len(p.Weights) != len(p.X0) || len(p.SDs) != len(p.X0) {
-		return nil, fmt.Errorf("inconsistent lime payload (%d weights, %d anchors, %d scales)",
-			len(p.Weights), len(p.X0), len(p.SDs))
-	}
-	return &limeModel{p: p}, nil
-}
-
-// limePayload is the serialized global-LIME surrogate: the ridge
-// coefficients plus the anchor point and scales they standardize
-// against.
-type limePayload struct {
-	Intercept float64   `json:"intercept"`
-	Weights   []float64 `json:"weights"`
-	X0        []float64 `json:"x0"`
-	SDs       []float64 `json:"sds"`
-	R2        float64   `json:"r2"`
-}
-
-type limeModel struct{ p limePayload }
-
-func (l *limeModel) Family() string { return FamilyLIME }
-
-//lint:ignore obsspan per-row hot path (one multiply-add per feature); PredictBatch is the spanned entry
-func (l *limeModel) Predict(x []float64) float64 {
-	out := l.p.Intercept
-	for j, w := range l.p.Weights {
-		out += w * (x[j] - l.p.X0[j]) / l.p.SDs[j]
-	}
-	return out
-}
-
-//lint:ignore obsspan a linear pass over rows bounded by the caller's fidelity span; spanning here would double-count
-func (l *limeModel) PredictBatch(ctx context.Context, xs [][]float64) ([]float64, error) {
-	if err := robust.CtxErr(ctx.Err()); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = l.Predict(x)
-	}
-	return out, nil
-}
-
-func (l *limeModel) MarshalPayload() ([]byte, error) { return json.Marshal(l.p) }
-
-// --- distill ---------------------------------------------------------------
-
-// distillSurrogate trains internal/distill's single shallow tree, but on
-// the pipeline's shared D* split instead of resampling its own — so a
-// family sweep on one engine reuses the sample artifact across all five
-// families.
-type distillSurrogate struct{}
-
-func (distillSurrogate) Name() string { return FamilyDistill }
-
-func (distillSurrogate) Key(Config) string { return "v1" }
-
-func (distillSurrogate) Fit(ctx context.Context, in *FitInput) (SurrogateModel, []robust.Degradation, error) {
-	if err := robust.CtxErr(ctx.Err()); err != nil {
-		return nil, nil, err
-	}
-	// Distillation targets are forest outputs on the response scale; a
-	// single regression tree fits both tasks (matching internal/distill).
-	ds := &dataset.Dataset{X: in.Train.X, Y: in.Train.Y, Task: dataset.Regression}
-	tree, err := gbdt.Train(ds, gbdt.Params{
-		NumTrees:       1,
-		NumLeaves:      distillLeaves(in.Config),
-		LearningRate:   1, // no shrinkage: the single tree is the model
-		MinSamplesLeaf: 20,
-		Lambda:         1e-9,
-		Seed:           in.Config.Seed,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("distill fit: %w: %v", robust.ErrNumerical, err)
-	}
-	return &distillModel{tree: tree}, nil, nil
-}
-
-// distillLeaves maps the distill default through (kept as a function so
-// a future Config knob lands in exactly one place).
-func distillLeaves(Config) int { return 16 }
-
-func (distillSurrogate) UnmarshalPayload(data []byte) (SurrogateModel, error) {
-	tree, err := forest.Unmarshal(data)
-	if err != nil {
-		return nil, fmt.Errorf("parsing distill payload: %w", err)
-	}
-	return &distillModel{tree: tree}, nil
-}
-
-type distillModel struct{ tree *forest.Forest }
-
-func (d *distillModel) Family() string              { return FamilyDistill }
-func (d *distillModel) Predict(x []float64) float64 { return d.tree.Predict(x) }
-
-func (d *distillModel) PredictBatch(ctx context.Context, xs [][]float64) ([]float64, error) {
-	out, err := d.tree.PredictBatchCtx(ctx, xs)
-	if err != nil {
-		return nil, robust.CtxErr(err)
-	}
-	return out, nil
-}
-
-func (d *distillModel) MarshalPayload() ([]byte, error) { return forest.Marshal(d.tree) }
-
-// Tree returns the distilled surrogate tree (for distill.Result.Rules
-// style rendering).
-func (d *distillModel) Tree() *forest.Forest { return d.tree }

@@ -33,8 +33,8 @@ type Params struct {
 	Seed   int64
 	OutDir string // when non-empty, tables and series are also dumped as CSV
 	// Family restricts family-aware experiments (extra-families) to a
-	// comma-separated subset of the registered explainer families; empty
-	// means all of them. Experiments that fit a single fixed surrogate
+	// comma-separated subset of the explainer families (core.Families());
+	// empty means all of them. Experiments that fit a single fixed surrogate
 	// ignore it.
 	Family string
 	// Ctx carries the run's cancellation/deadline context; nil means

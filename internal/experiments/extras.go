@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -174,48 +175,35 @@ type familyBench struct {
 	EngineMisses int64                     `json:"engine_misses"`
 }
 
-// familyOrder lists the comparison rows first-party first; registered
-// families missing from it (future additions) are appended sorted.
-var familyOrder = []string{core.FamilyGAM, core.FamilyRules, core.FamilySmoother, core.FamilyLIME, core.FamilyDistill}
-
 // familiesFor resolves p.Family (comma-separated, empty = all) against
-// the registry, preserving the preferred presentation order.
+// core.Families(), keeping its presentation order.
 func familiesFor(p Params) ([]string, error) {
-	registered := make(map[string]bool)
-	for _, fam := range core.Families() {
-		registered[fam] = true
+	all := core.Families()
+	if p.Family == "" {
+		return all, nil
 	}
-	want := registered
-	if p.Family != "" {
-		want = make(map[string]bool)
-		for _, fam := range strings.Split(p.Family, ",") {
-			fam = strings.TrimSpace(fam)
-			if fam == "" {
-				continue
-			}
-			if !registered[fam] {
-				return nil, fmt.Errorf("experiments: unknown explainer family %q (registered: %s)",
-					fam, strings.Join(core.Families(), ", "))
-			}
-			want[fam] = true
+	want := make(map[string]bool)
+	for _, fam := range strings.Split(p.Family, ",") {
+		fam = strings.TrimSpace(fam)
+		if fam == "" {
+			continue
 		}
+		if !slices.Contains(all, fam) {
+			return nil, fmt.Errorf("experiments: unknown explainer family %q (known: %s)",
+				fam, strings.Join(all, ", "))
+		}
+		want[fam] = true
 	}
 	var out []string
-	for _, fam := range familyOrder {
+	for _, fam := range all {
 		if want[fam] {
 			out = append(out, fam)
-			delete(want, fam)
 		}
 	}
-	rest := make([]string, 0, len(want))
-	for fam := range want {
-		rest = append(rest, fam)
-	}
-	sort.Strings(rest)
-	return append(out, rest...), nil
+	return out, nil
 }
 
-// RunExtraFamilies fits every registered explainer family on the same
+// RunExtraFamilies fits every explainer family on the same
 // forest over one engine session and reports fidelity (held-out D*),
 // fit latency and degradation counts side by side. The first family pays
 // for the shared pipeline artifacts (stats, domains, D* sample); every

@@ -223,19 +223,3 @@ func TestTextSinkFormat(t *testing.T) {
 		}
 	}
 }
-
-func TestMultiSinkFansOut(t *testing.T) {
-	a, b := NewMemorySink(), NewMemorySink()
-	withSink(t, MultiSink(a, nil, b))
-	_, sp := Start(context.Background(), "fan")
-	sp.End()
-	if len(a.Spans()) != 1 || len(b.Spans()) != 1 {
-		t.Fatalf("fan-out missed a sink: %d, %d", len(a.Spans()), len(b.Spans()))
-	}
-	if MultiSink() != nil {
-		t.Error("MultiSink() with no sinks should be nil")
-	}
-	if MultiSink(a) != Sink(a) {
-		t.Error("MultiSink(a) should unwrap to a")
-	}
-}

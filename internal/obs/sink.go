@@ -129,51 +129,6 @@ func (j *JSONSink) Flush() error {
 	return nil
 }
 
-// --- fan-out -------------------------------------------------------------
-
-// multiSink fans every record out to several sinks.
-type multiSink []Sink
-
-// MultiSink combines sinks; nil entries are dropped. With zero or one
-// live sink it returns nil or that sink directly.
-func MultiSink(sinks ...Sink) Sink {
-	var live multiSink
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}
-
-func (m multiSink) Begin(sp *SpanData) {
-	for _, s := range m {
-		s.Begin(sp)
-	}
-}
-
-func (m multiSink) End(sp *SpanData) {
-	for _, s := range m {
-		s.End(sp)
-	}
-}
-
-func (m multiSink) Flush() error {
-	var first error
-	for _, s := range m {
-		if err := s.Flush(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // --- in-memory sink (tests, BenchReport) ---------------------------------
 
 // MemorySink records completed spans in memory, in end order.

@@ -4,11 +4,11 @@ import "errors"
 
 // SinkTee fans every span record out to several sinks in declaration
 // order — the composition the CLIs use when -v text progress, a -trace
-// file and a -trace-format=chrome export all run in one process. It
-// differs from MultiSink in its Flush contract: every sink is flushed
-// and *all* failures are reported, joined with errors.Join, instead of
-// only the first (a truncated Chrome export should not be masked by an
-// earlier text-sink error).
+// file and a -trace-format=chrome export all run in one process, and
+// the one gef.CombineTraceSinks returns. Flush flushes every sink and
+// reports *all* failures, joined with errors.Join, not only the first
+// (a truncated Chrome export should not be masked by an earlier
+// text-sink error).
 type SinkTee struct {
 	sinks []Sink
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -34,6 +35,18 @@ func TestSinkTeeOrdering(t *testing.T) {
 	want := []string{"a.begin:s", "b.begin:s", "a.end:s", "b.end:s", "a.flush", "b.flush"}
 	if fmt.Sprint(log) != fmt.Sprint(want) {
 		t.Errorf("call order = %v, want %v", log, want)
+	}
+}
+
+// TestMultiSinkFansOut installs a tee as the process sink and checks that
+// live spans reach every sink behind it.
+func TestMultiSinkFansOut(t *testing.T) {
+	a, b := NewMemorySink(), NewMemorySink()
+	withSink(t, NewSinkTee(a, nil, b))
+	_, sp := Start(context.Background(), "fan")
+	sp.End()
+	if len(a.Spans()) != 1 || len(b.Spans()) != 1 {
+		t.Fatalf("fan-out missed a sink: %d, %d", len(a.Spans()), len(b.Spans()))
 	}
 }
 

@@ -183,23 +183,26 @@ func TestExplainBadConfig(t *testing.T) {
 }
 
 // TestExplainUnknownFamily checks the typed 400 contract for a family
-// name the registry does not know: kind "config", message naming the
+// name the fit stage does not know — including the lime and distill
+// baselines, which are not families: kind "config", message naming the
 // offending family, and no computation admitted.
 func TestExplainUnknownFamily(t *testing.T) {
 	_, ts, fp := newTestServer(t, Options{})
-	cfg := fastConfig()
-	cfg.Family = "nope"
-	resp, payload := doJSON(t, http.MethodPost, ts.URL+"/v1/explain", "",
-		explainRequest{Fingerprint: fp, Config: cfg})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, payload)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(payload, &eb); err != nil || eb.Kind != "config" {
-		t.Fatalf("error body = %s, want kind config", payload)
-	}
-	if !strings.Contains(eb.Error, "nope") {
-		t.Fatalf("error message %q does not name the unknown family", eb.Error)
+	for _, fam := range []string{"nope", "lime", "distill"} {
+		cfg := fastConfig()
+		cfg.Family = fam
+		resp, payload := doJSON(t, http.MethodPost, ts.URL+"/v1/explain", "",
+			explainRequest{Fingerprint: fp, Config: cfg})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("family %q: status = %d, want 400 (body %s)", fam, resp.StatusCode, payload)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(payload, &eb); err != nil || eb.Kind != "config" {
+			t.Fatalf("family %q: error body = %s, want kind config", fam, payload)
+		}
+		if !strings.Contains(eb.Error, `"`+fam+`"`) {
+			t.Fatalf("error message %q does not name the unknown family %q", eb.Error, fam)
+		}
 	}
 }
 
@@ -546,7 +549,7 @@ func TestRequestKeyDistinctPerFamily(t *testing.T) {
 		t.Fatal("omitted family and explicit gam hash differently")
 	}
 	seen := map[string]string{}
-	for _, fam := range []string{core.FamilyGAM, core.FamilyRules, core.FamilySmoother, core.FamilyLIME, core.FamilyDistill} {
+	for _, fam := range []string{core.FamilyGAM, core.FamilyRules, core.FamilySmoother} {
 		k := key(fam)
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("families %q and %q collide on coalescing key %s", prev, fam, k)

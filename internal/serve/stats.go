@@ -70,16 +70,16 @@ func (ts TenantStats) cloneFamilies() map[string]int64 {
 
 // Stats is the /v1/stats payload.
 type Stats struct {
-	UptimeS       float64                `json:"uptime_s"`
-	Draining      bool                   `json:"draining"`
-	Forests       int                    `json:"forests"`
-	Admitted      int64                  `json:"admitted"`
-	InFlight      int                    `json:"in_flight"`
-	Requests      int64                  `json:"requests"`
-	Shed          int64                  `json:"shed"`
-	Errors        int64                  `json:"errors"`
-	CoalesceHits  int64                  `json:"coalesce_hits"`
-	CoalesceLeads int64                  `json:"coalesce_leads"`
+	UptimeS       float64 `json:"uptime_s"`
+	Draining      bool    `json:"draining"`
+	Forests       int     `json:"forests"`
+	Admitted      int64   `json:"admitted"`
+	InFlight      int     `json:"in_flight"`
+	Requests      int64   `json:"requests"`
+	Shed          int64   `json:"shed"`
+	Errors        int64   `json:"errors"`
+	CoalesceHits  int64   `json:"coalesce_hits"`
+	CoalesceLeads int64   `json:"coalesce_leads"`
 	// Families aggregates per-family explain counts over all tenants.
 	Families map[string]int64       `json:"families,omitempty"`
 	Engine   core.CacheStats        `json:"engine"`

@@ -7,6 +7,17 @@ go build ./...
 go vet ./...
 bash -n bench_ab.sh
 
+# Formatting gate: every Go source must be gofmt-clean, perfbench's
+# included (it is a module of its own, so `go vet ./...` above skips
+# it). .bench_build holds bench_ab.sh's checkout of another ref and is
+# not this tree's code.
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "${unformatted}" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "${unformatted}" >&2
+	exit 1
+fi
+
 # Static-analysis gate. geflint exits 0 when clean, 1 on any finding and
 # 2 on a load/internal error or an analyzer panic (reported loudly with
 # a stack trace on stderr), so with `set -e` a single new diagnostic —
@@ -53,8 +64,9 @@ BENCH_SERVE_OUT=BENCH_serve.json go test -count=1 -run TestWriteServeBench .
 # quick scale and regenerate BENCH_family.json (per-family fidelity and
 # latency over one engine session). The experiment itself fails when no
 # engine-cache hits occur across families (broken artifact sharing); the
-# grep gate requires every first-party family to be present so a family
-# silently dropping out of the registry cannot hide behind a green run.
+# grep gate requires each of the three families (gam, rules, smoother)
+# to be present so a family silently dropping out of the fit stage's
+# family table cannot hide behind a green run.
 fam_dir=$(mktemp -d)
 go run ./cmd/experiments -exp extra-families -scale quick -out "${fam_dir}" >/dev/null
 cp "${fam_dir}/BENCH_family.json" BENCH_family.json
