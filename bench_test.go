@@ -13,7 +13,6 @@ package gef
 //	go run ./cmd/experiments -exp all -scale paper
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"gef/internal/dataset"
@@ -24,46 +23,6 @@ import (
 	"gef/internal/sampling"
 	"gef/internal/shap"
 )
-
-// TestMain hosts the BENCH_*.json hooks. With BENCH_OBS_OUT=<path>, the
-// pipeline metrics accumulated over the run (GCV evaluations, P-IRLS
-// iterations, SHAP node visits, per-iteration boosting timings, ...) are
-// dumped in the repo's BENCH_*.json shape, so benchmark runs emit
-// comparable per-stage numbers:
-//
-//	BENCH_OBS_OUT=BENCH_obs.json go test -run '^$' -bench BenchmarkFullGEFPipeline -benchtime 1x .
-//
-// The other BENCH_* reports are env-gated tests in this package:
-//
-//	BENCH_PAR_OUT=BENCH_par.json       go test -count=1 -run TestWriteParBench .
-//	BENCH_ENGINE_OUT=BENCH_engine.json go test -count=1 -run TestWriteEngineBench .
-//	BENCH_FOREST_OUT=BENCH_forest.json go test -count=1 -run TestWriteForestBench .
-//	BENCH_SERVE_OUT=BENCH_serve.json   go test -count=1 -run TestWriteServeBench .
-//
-// TestMain enforces the serve contract: asking for BENCH_SERVE_OUT and
-// not producing a non-empty report (e.g. the generating test was
-// filtered out) fails the run instead of silently skipping the serving
-// numbers from the perf trajectory.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("BENCH_OBS_OUT"); path != "" {
-		if err := obs.WriteBenchReport(path, "gef-bench"); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: writing %s: %v\n", path, err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	if path := os.Getenv("BENCH_SERVE_OUT"); path != "" {
-		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-			fmt.Fprintf(os.Stderr, "bench: BENCH_SERVE_OUT=%s requested but no report was written (run TestWriteServeBench)\n", path)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
 
 // benchExperiment runs one registered experiment at quick scale.
 func benchExperiment(b *testing.B, id string) {
@@ -263,11 +222,10 @@ func BenchmarkFullGEFPipeline(b *testing.B) {
 // --- Telemetry overhead -------------------------------------------------
 
 // BenchmarkFlightRecorderOverhead measures the cost Span.End pays to
-// store a record in the always-on flight recorder. The result feeds the
-// obs.flight_record_ns gauge in BENCH_obs.json; the <100 ns/span budget
-// is gated by TestRecorderOverheadGate in internal/obs.
-// Each op records a 1024-span batch so the per-span figure stays stable
-// even under the BENCH_obs.json refresh's -benchtime 1x.
+// store a record in the always-on flight recorder, reported as ns/span;
+// the <100 ns/span budget is gated by TestRecorderOverheadGate in
+// internal/obs. Each op records a 1024-span batch so the per-span
+// figure stays stable even at -benchtime 1x.
 func BenchmarkFlightRecorderOverhead(b *testing.B) {
 	r := obs.NewRecorder(obs.DefaultFlightCapacity)
 	sp := obs.SpanData{Name: "bench.span"}
@@ -280,12 +238,12 @@ func BenchmarkFlightRecorderOverhead(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	obs.SetGauge("obs.flight_record_ns", float64(b.Elapsed().Nanoseconds())/float64(b.N*batch))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/span")
 }
 
 // BenchmarkWritePrometheus1k measures the /metrics exposition cost at
-// serving scale: 1000 labeled series rendered to the text format. The
-// per-scrape cost lands in the obs.prom_write_1k_us gauge.
+// serving scale: 1000 labeled series rendered to the text format,
+// reported as µs/scrape.
 func BenchmarkWritePrometheus1k(b *testing.B) {
 	reg := obs.NewRegistry()
 	vec := reg.CounterVec("bench.series", "shard", "stage")
@@ -308,7 +266,7 @@ func BenchmarkWritePrometheus1k(b *testing.B) {
 	if sink == 0 {
 		b.Fatal("exposition wrote nothing")
 	}
-	obs.SetGauge("obs.prom_write_1k_us", float64(b.Elapsed().Microseconds())/float64(b.N))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "µs/scrape")
 }
 
 // countingWriter discards output while counting bytes, so the benchmark

@@ -1,6 +1,6 @@
 // Command loadgen drives a running gefd with a closed-loop multi-
-// tenant request mix and prints a latency/throughput report (the
-// BENCH_serve.json shape). It can seed its own targets: by default it
+// tenant request mix and prints a JSON latency/throughput report
+// (serve.LoadReport). It can seed its own targets: by default it
 // trains two small g′ forests and registers them before the run.
 //
 //	gefd -listen 127.0.0.1:8080 &
@@ -62,15 +62,9 @@ func run() int {
 	flag.Parse()
 	ctx := context.Background()
 
-	var fingerprints []string
+	fingerprints := splitList(*fps)
 	numFeatures := *features
-	if *fps != "" {
-		for _, fp := range strings.Split(*fps, ",") {
-			if fp = strings.TrimSpace(fp); fp != "" {
-				fingerprints = append(fingerprints, fp)
-			}
-		}
-	} else {
+	if *fps == "" {
 		var err error
 		fingerprints, numFeatures, err = serve.SeedForests(ctx, *base, *forests, *rows, *seed)
 		if err != nil {

@@ -528,8 +528,9 @@ type MetricsSnapshot = obs.Snapshot
 // writes to. Use Snapshot or WriteJSON for an expvar-style export.
 func PipelineMetrics() *MetricsRegistry { return obs.Metrics() }
 
-// WriteBenchReport writes the current metrics as a BENCH_*.json-shaped
-// report (see BENCH_obs.json at the repo root for the convention).
+// WriteBenchReport writes the current metrics as a named,
+// environment-stamped JSON snapshot — the shape the CLIs' -metrics-out
+// flag writes.
 func WriteBenchReport(path, name string) error { return obs.WriteBenchReport(path, name) }
 
 // NewChromeTraceSink returns a Chrome trace_event JSON writer — load

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -153,28 +149,6 @@ func RunExtraEngine(p Params) (*Report, error) {
 	return r, nil
 }
 
-// familyBenchRow is one family's measured cost/quality in
-// BENCH_family.json.
-type familyBenchRow struct {
-	FitMs        float64 `json:"fit_ms"`
-	RMSE         float64 `json:"rmse"`
-	R2           float64 `json:"r2"`
-	Degradations int     `json:"degradations"`
-}
-
-// familyBench is the BENCH_family.json shape: per-family fidelity and
-// latency over one shared engine session, plus the engine counters that
-// prove the D* artifacts were built once and reused across families.
-type familyBench struct {
-	Name         string                    `json:"name"`
-	Go           string                    `json:"go"`
-	OS           string                    `json:"os"`
-	Arch         string                    `json:"arch"`
-	Families     map[string]familyBenchRow `json:"families"`
-	EngineHits   int64                     `json:"engine_hits"`
-	EngineMisses int64                     `json:"engine_misses"`
-}
-
 // familiesFor resolves p.Family (comma-separated, empty = all) against
 // core.Families(), keeping its presentation order.
 func familiesFor(p Params) ([]string, error) {
@@ -208,8 +182,7 @@ func familiesFor(p Params) ([]string, error) {
 // fit latency and degradation counts side by side. The first family pays
 // for the shared pipeline artifacts (stats, domains, D* sample); every
 // later family must reuse them from the engine cache — the per-stage
-// hit counters in the second table are the proof. When OutDir is set the
-// comparison also lands in OutDir/BENCH_family.json (gated by verify.sh).
+// hit counters in the second table are the proof.
 func RunExtraFamilies(p Params) (*Report, error) {
 	p = p.withDefaults()
 	fams, err := familiesFor(p)
@@ -229,13 +202,6 @@ func RunExtraFamilies(p Params) (*Report, error) {
 		GAM:           gam.Options{Lambdas: z.lambdas},
 		Seed:          p.Seed,
 	}
-	bench := familyBench{
-		Name:     "gef-extra-families",
-		Go:       runtime.Version(),
-		OS:       runtime.GOOS,
-		Arch:     runtime.GOARCH,
-		Families: make(map[string]familyBenchRow, len(fams)),
-	}
 	r := &Report{ID: "extra-families", Title: "Explainer families on one engine session"}
 	tab := Table{Name: "fidelity and latency per family (held-out D*)", Header: []string{"family", "fit ms", "RMSE", "R²", "degradations"}}
 	for _, fam := range fams {
@@ -248,15 +214,10 @@ func RunExtraFamilies(p Params) (*Report, error) {
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1e3
 		tab.AddRow(fam, f1(ms), f4(e.Fidelity.RMSE), f4(e.Fidelity.R2), itoa(len(e.Degradations)))
-		bench.Families[fam] = familyBenchRow{
-			FitMs: ms, RMSE: e.Fidelity.RMSE, R2: e.Fidelity.R2,
-			Degradations: len(e.Degradations),
-		}
 	}
 	r.Tables = append(r.Tables, tab)
 
 	stats := eng.CacheStats()
-	bench.EngineHits, bench.EngineMisses = stats.Hits, stats.Misses
 	cacheTab := Table{Name: "per-stage artifact cache across families", Header: []string{"stage", "hits", "misses"}}
 	names := make([]string, 0, len(stats.Stages))
 	for name := range stats.Stages {
@@ -276,20 +237,6 @@ func RunExtraFamilies(p Params) (*Report, error) {
 			len(fams), stats.Hits, stats.Misses),
 		"every family's fitted model and fidelity are cached as fit-stage artifacts")
 
-	if p.OutDir != "" {
-		if err := os.MkdirAll(p.OutDir, 0o755); err != nil {
-			return nil, err
-		}
-		blob, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		path := filepath.Join(p.OutDir, "BENCH_family.json")
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		r.Notes = append(r.Notes, "benchmark written to "+path)
-	}
 	return r, nil
 }
 

@@ -6,12 +6,10 @@ import (
 	"runtime"
 )
 
-// BenchReport is the repo's BENCH_*.json shape: a named, environment-
-// stamped metrics snapshot that successive perf PRs can diff per stage.
-// The convention (seeded by BENCH_obs.json at the repo root):
+// BenchReport is the -metrics-out shape: a named, environment-stamped
+// metrics snapshot that successive runs can diff per stage.
 //
-//   - file name BENCH_<topic>.json
-//   - "name" identifies the producing harness (e.g. "gef-bench")
+//   - "name" identifies the producing program (e.g. "gef")
 //   - "metrics" is a full Registry snapshot — counters, gauges and
 //     histogram summaries with fixed-bucket percentiles
 //
@@ -39,53 +37,6 @@ func NewBenchReport(name string) BenchReport {
 // WriteBenchReport writes NewBenchReport(name) to path as indented JSON.
 func WriteBenchReport(path, name string) error {
 	data, err := json.MarshalIndent(NewBenchReport(name), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// StageSpeedup compares one pipeline stage's wall time between a
-// workers=1 run and a workers=N run of the same workload.
-type StageSpeedup struct {
-	Stage      string  `json:"stage"`
-	SerialMs   float64 `json:"serial_ms"`   // wall time at workers=1
-	ParallelMs float64 `json:"parallel_ms"` // wall time at workers=N
-	Speedup    float64 `json:"speedup"`     // serial / parallel
-}
-
-// SpeedupReport is the BENCH_par.json shape: the same workload run at
-// workers=1 and workers=N on the same host, with per-stage and total
-// wall-time ratios. Cores records the host's CPU count so a speedup of
-// ~1 on a 1-core machine reads as expected rather than as a regression.
-type SpeedupReport struct {
-	Name            string         `json:"name"`
-	Go              string         `json:"go"`
-	OS              string         `json:"os"`
-	Arch            string         `json:"arch"`
-	Cores           int            `json:"cores"`
-	WorkersSerial   int            `json:"workers_serial"`
-	WorkersParallel int            `json:"workers_parallel"`
-	TotalSerialMs   float64        `json:"total_serial_ms"`
-	TotalParallelMs float64        `json:"total_parallel_ms"`
-	TotalSpeedup    float64        `json:"total_speedup"`
-	Stages          []StageSpeedup `json:"stages,omitempty"`
-}
-
-// NewSpeedupReport stamps a report with the build/host environment.
-func NewSpeedupReport(name string) SpeedupReport {
-	return SpeedupReport{
-		Name:  name,
-		Go:    runtime.Version(),
-		OS:    runtime.GOOS,
-		Arch:  runtime.GOARCH,
-		Cores: runtime.NumCPU(),
-	}
-}
-
-// WriteSpeedupReport writes r to path as indented JSON.
-func WriteSpeedupReport(path string, r SpeedupReport) error {
-	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}

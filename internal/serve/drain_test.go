@@ -189,7 +189,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 // derive, the request joins it, returns the shared result, and the
 // stats record a coalesce hit. Pre-installing the call makes the
 // overlap deterministic (real concurrent overlap is statistical and is
-// measured by servebench instead).
+// exercised by TestLoadDuplicateMixCoalesces instead).
 func TestCoalescingEndToEnd(t *testing.T) {
 	s, ts, fp := newTestServer(t, Options{})
 	cfg := fastConfig()

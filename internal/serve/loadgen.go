@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -22,7 +23,7 @@ import (
 )
 
 // LoadConfig drives RunLoad, the closed-loop load generator behind
-// cmd/gefd/loadgen and servebench_test.go. Closed-loop means each
+// cmd/gefd/loadgen. Closed-loop means each
 // client issues its next request only after the previous one finishes,
 // so offered load adapts to server capacity instead of stampeding it —
 // the right shape for measuring a server that sheds.
@@ -70,9 +71,11 @@ type LoadConfig struct {
 	Seed int64
 }
 
-// LoadReport is RunLoad's result, the BENCH_serve.json payload.
+// LoadReport is RunLoad's result, loadgen's JSON report.
 type LoadReport struct {
-	Clients       int              `json:"clients"`
+	Clients int `json:"clients"`
+	// DurationS is the measured run, from the first client's dispatch
+	// until the last client returns; ReqPerSec = Requests / DurationS.
 	DurationS     float64          `json:"duration_s"`
 	Requests      int64            `json:"requests"`
 	ReqPerSec     float64          `json:"req_per_sec"`
@@ -149,7 +152,8 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		return nil, fmt.Errorf("loadgen: server not reachable: %w", err)
 	}
 
-	deadline := time.Now().Add(cfg.Duration)
+	start := time.Now()
+	deadline := start.Add(cfg.Duration)
 	results := make([]clientResult, cfg.Clients)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Clients; i++ {
@@ -165,6 +169,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		}(i)
 	}
 	wg.Wait()
+	elapsed := time.Since(start)
 
 	// The post-run stats read must succeed even when the driving ctx was
 	// cancelled mid-run, or a partial run could never produce a report.
@@ -174,7 +179,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		return nil, fmt.Errorf("loadgen: reading post-run stats: %w", err)
 	}
 
-	return buildReport(cfg, results, before, after), nil
+	return buildReport(cfg, results, elapsed, before, after), nil
 }
 
 // runClient is one closed-loop client: issue, wait, tally, repeat.
@@ -279,11 +284,12 @@ func postJSON(ctx context.Context, hc *http.Client, url, tenant string, body any
 	return resp.StatusCode, nil
 }
 
-// buildReport merges per-client tallies with server-side stat deltas.
-func buildReport(cfg LoadConfig, results []clientResult, before, after *Stats) *LoadReport {
+// buildReport merges per-client tallies over the measured run with
+// server-side stat deltas.
+func buildReport(cfg LoadConfig, results []clientResult, elapsed time.Duration, before, after *Stats) *LoadReport {
 	rep := &LoadReport{
 		Clients:   cfg.Clients,
-		DurationS: cfg.Duration.Seconds(),
+		DurationS: elapsed.Seconds(),
 		Status:    make(map[string]int64),
 	}
 	var all []float64
@@ -297,7 +303,9 @@ func buildReport(cfg LoadConfig, results []clientResult, before, after *Stats) *
 		}
 	}
 	rep.Requests += rep.ClientCancels + rep.ClientErrors
-	rep.ReqPerSec = float64(rep.Requests) / cfg.Duration.Seconds()
+	if rep.DurationS > 0 {
+		rep.ReqPerSec = float64(rep.Requests) / rep.DurationS
+	}
 	sort.Float64s(all)
 	rep.P50Ms = percentile(all, 0.50)
 	rep.P90Ms = percentile(all, 0.90)
@@ -364,14 +372,13 @@ func SeedForests(ctx context.Context, baseURL string, n, rows int, seed int64) (
 	return fps, dataset.GPrimeDim, nil
 }
 
-// percentile reads the q-quantile from sorted xs (nearest-rank).
+// percentile reads the q-quantile from sorted xs by nearest rank: the
+// smallest value with at least q·n values at or below it, i.e. index
+// ceil(q·n)−1.
 func percentile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	i := int(q * float64(len(xs)))
-	if i >= len(xs) {
-		i = len(xs) - 1
-	}
-	return xs[i]
+	i := int(math.Ceil(q*float64(len(xs)))) - 1
+	return xs[min(max(i, 0), len(xs)-1)]
 }

@@ -1,6 +1,10 @@
 #!/bin/sh
 # Repo verification: the tier-1 gate, the geflint static-analysis gate,
-# and race detection over the concurrency-using packages.
+# and race detection over the concurrency-using packages. The timing and
+# serving gates (flat D* labeling >= 2x the pointer walk on multi-core
+# hosts, coalescing under a duplicate-heavy mixed-family load, all three
+# explainer families present with cross-family cache reuse) are plain
+# tests inside `go test ./...`.
 set -eux
 
 go build ./...
@@ -44,36 +48,6 @@ go test ./...
 # taxonomy error — run explicitly so a -run filter in local workflows
 # can never silently drop the suite.
 go test -count=1 -run TestFaultInjection ./...
-
-# Flat-forest traversal benchmark: regenerates BENCH_forest.json (flat
-# SoA vs pointer walk ns/row at batch 1/64/4096 plus the D*-labeling and
-# batch-SHAP stages). On multi-core hosts the harness fails if the flat
-# D* labeling path is below 2x the pointer walk at workers=1; 1-core
-# containers record the numbers but skip the ratio gate (BENCH_par
-# policy).
-BENCH_FOREST_OUT=BENCH_forest.json go test -count=1 -run TestWriteForestBench .
-
-# Serving benchmark: regenerates BENCH_serve.json (p50/p99 latency,
-# req/s, engine-cache and coalescing hit rates at 100+ closed-loop
-# clients over a duplicate-heavy mix). The generating test fails if the
-# coalescer never engages, so a wiring regression in the single-flight
-# path cannot hide behind a green report.
-BENCH_SERVE_OUT=BENCH_serve.json go test -count=1 -run TestWriteServeBench .
-
-# Explainer-family gate (ISSUE 10): run the extra-families comparison at
-# quick scale and regenerate BENCH_family.json (per-family fidelity and
-# latency over one engine session). The experiment itself fails when no
-# engine-cache hits occur across families (broken artifact sharing); the
-# grep gate requires each of the three families (gam, rules, smoother)
-# to be present so a family silently dropping out of the fit stage's
-# family table cannot hide behind a green run.
-fam_dir=$(mktemp -d)
-go run ./cmd/experiments -exp extra-families -scale quick -out "${fam_dir}" >/dev/null
-cp "${fam_dir}/BENCH_family.json" BENCH_family.json
-rm -rf "${fam_dir}"
-for fam in gam rules smoother; do
-	grep -q "\"${fam}\"" BENCH_family.json
-done
 
 # Race gate: every package whose sources (tests included) start
 # goroutines, touch sync/atomic primitives, or import the internal/par
@@ -126,7 +100,6 @@ curl -fsS "${gefd_url}/healthz"
 "${smoke_dir}/loadgen" -base "${gefd_url}" -clients 16 -duration 2s \
 	-dup-frac 0.8 -out "${smoke_dir}/smoke.json" >/dev/null
 test -s "${smoke_dir}/smoke.json"
-test -s BENCH_serve.json
 kill -TERM "${gefd_pid}"
 wait "${gefd_pid}"
 trap - EXIT
