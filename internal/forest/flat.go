@@ -1,11 +1,13 @@
 package forest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"gef/internal/obs"
+	"gef/internal/par"
 )
 
 // Flat is a cache-friendly structure-of-arrays compilation of a Forest.
@@ -164,6 +166,79 @@ func Compile(f *Forest) *Flat {
 	mFlatCompileMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	mFlatCompiles.Inc()
 	return fl
+}
+
+// Specialize returns the Flat restricted to rows whose every feature
+// outside free equals its fill value — D*'s subspace, where only the
+// selected features F′ vary. Each split on a feature outside free sends
+// every such row the same way, so it is resolved to the child fill[f]
+// reaches (by the walk's own x ≤ threshold comparison) and dropped; the
+// kept nodes are re-laid breadth-first and each tree's maxDepth is
+// recomputed, so the fixed-depth kernel steps only as deep as the kept
+// nodes go — zero steps for a tree that collapsed to one leaf. This
+// is the conditioning step of path-dependent TreeSHAP applied once to
+// the whole forest instead of once per row.
+//
+// On such rows the result reaches the same leaf as fl in every tree.
+// A tree that collapses to one leaf stays a one-leaf tree rather than
+// being folded into BaseScore, so rows still sum BaseScore then tree
+// values in tree order and every raw score is bitwise fl's. Cold fields
+// describe the original forest: Value, Cover and OrigIndex of a kept
+// node are its original ones, and TreeMean is the original tree's.
+// fill must have length NumFeatures; free may be in any order.
+func (fl *Flat) Specialize(free []int, fill []float64) *Flat {
+	isFree := make([]bool, fl.NumFeatures)
+	for _, j := range free {
+		isFree[j] = true
+	}
+	// resolve follows held-feature splits down from i to the first node
+	// a free feature decides, or to a leaf.
+	resolve := func(i int32) int32 {
+		for {
+			n := &fl.nodes[i]
+			if n.kids < i || isFree[n.feature] {
+				return i
+			}
+			i = n.kids
+			if fill[n.feature] <= n.threshold {
+				i++
+			}
+		}
+	}
+	sp := &Flat{
+		NumFeatures: fl.NumFeatures,
+		NumTrees:    fl.NumTrees,
+		BaseScore:   fl.BaseScore,
+		Objective:   fl.Objective,
+		offset:      make([]int32, fl.NumTrees+1),
+		maxDepth:    make([]int32, fl.NumTrees),
+		treeMean:    fl.treeMean,
+	}
+	var src, depth []int32 // per new slot of the current tree: source node, depth
+	for t := 0; t < fl.NumTrees; t++ {
+		off := int32(len(sp.nodes))
+		sp.offset[t] = off
+		src = append(src[:0], resolve(fl.offset[t]))
+		depth = append(depth[:0], 0)
+		for s := 0; s < len(src); s++ {
+			i := src[s]
+			n := fl.nodes[i]
+			if n.kids > i { // internal: its children take the next two slots
+				src = append(src, resolve(n.kids), resolve(n.kids+1))
+				depth = append(depth, depth[s]+1, depth[s]+1)
+				n.kids = off + int32(len(src)) - 2
+			} else {
+				n.kids = off + int32(s) - 1
+				sp.maxDepth[t] = max(sp.maxDepth[t], depth[s])
+			}
+			sp.nodes = append(sp.nodes, n)
+			sp.value = append(sp.value, fl.value[i])
+			sp.cover = append(sp.cover, fl.cover[i])
+			sp.orig = append(sp.orig, fl.orig[i])
+		}
+	}
+	sp.offset[fl.NumTrees] = int32(len(sp.nodes))
+	return sp
 }
 
 // treeMeanIter computes the cover-weighted mean leaf value of the tree
@@ -413,7 +488,7 @@ func (fl *Flat) LeavesBatch(xs [][]float64, out []int32) {
 
 // RawPredictBatchInto writes the untransformed additive score of each
 // row of xs into out (len(out) == len(xs)), running serially — callers
-// parallelize over row ranges (Forest.RawPredictBatchCtx). Rows
+// parallelize over row ranges (RawPredictBatchCtx). Rows
 // accumulate BaseScore then tree values in tree order, the same
 // floating-point order as the single-row path, so results are bitwise
 // identical to Forest.RawPredict.
@@ -453,6 +528,36 @@ func (fl *Flat) rawBlocks(xs [][]float64, out []float64, add bool) {
 			}
 		}
 	}
+}
+
+// RawPredictBatchCtx evaluates RawPredict on every row of xs through
+// the batched kernel, in parallel over fixed row chunks with disjoint
+// writes, so results are bitwise identical at any worker count. Returns
+// ctx.Err() if canceled.
+func (fl *Flat) RawPredictBatchCtx(ctx context.Context, xs [][]float64) ([]float64, error) {
+	out := make([]float64, len(xs))
+	if err := par.For(ctx, len(xs), 0, func(_, lo, hi int) {
+		fl.RawPredictBatchInto(xs[lo:hi], out[lo:hi])
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// PredictBatchCtx is RawPredictBatchCtx followed by one pass applying
+// the objective transform — the same Sigmoid the single-row Predict
+// applies — so results are bitwise Predict's.
+func (fl *Flat) PredictBatchCtx(ctx context.Context, xs [][]float64) ([]float64, error) {
+	out, err := fl.RawPredictBatchCtx(ctx, xs)
+	if err != nil {
+		return nil, err
+	}
+	if fl.Objective == BinaryLogistic {
+		for i, v := range out {
+			out[i] = Sigmoid(v)
+		}
+	}
+	return out, nil
 }
 
 // PredictBatchInto is RawPredictBatchInto with the objective transform

@@ -284,3 +284,46 @@ func TestDeepChainTreeIterative(t *testing.T) {
 		t.Fatalf("batch leaf on deep chain diverged")
 	}
 }
+
+// TestSpecializeExtremes pins the two ends of Specialize: with every
+// feature free nothing is folded and the layout is Compile's, slot for
+// slot; with none free every tree collapses to a one-leaf tree (kept,
+// not folded into BaseScore) and the walk takes zero steps.
+func TestSpecializeExtremes(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	f := randForest(r, 6, 4, 25, Regression)
+	fl := Compile(f)
+	fill := randRow(r, 4, 0)
+
+	all := fl.Specialize([]int{3, 0, 2, 1}, fill)
+	if all.NumNodes() != fl.NumNodes() {
+		t.Fatalf("all-free specialization has %d nodes, want %d", all.NumNodes(), fl.NumNodes())
+	}
+	for i := range fl.nodes {
+		if all.nodes[i] != fl.nodes[i] || all.orig[i] != fl.orig[i] || all.value[i] != fl.value[i] {
+			t.Fatalf("slot %d: all-free specialization differs from Compile", i)
+		}
+	}
+	for ti := 0; ti < fl.NumTrees; ti++ {
+		if all.TreeMaxDepth(ti) != fl.TreeMaxDepth(ti) || all.TreeRoot(ti) != fl.TreeRoot(ti) {
+			t.Fatalf("tree %d: all-free root/depth %d/%d, want %d/%d", ti,
+				all.TreeRoot(ti), all.TreeMaxDepth(ti), fl.TreeRoot(ti), fl.TreeMaxDepth(ti))
+		}
+	}
+
+	none := fl.Specialize(nil, fill)
+	if none.NumNodes() != fl.NumTrees {
+		t.Fatalf("no-free specialization has %d nodes, want one leaf per tree (%d)", none.NumNodes(), fl.NumTrees)
+	}
+	want := fl.RawPredict(fill)
+	for ti := 0; ti < fl.NumTrees; ti++ {
+		if !none.IsLeaf(none.TreeRoot(ti)) || none.TreeMaxDepth(ti) != 0 {
+			t.Fatalf("tree %d: root is not a depth-0 leaf", ti)
+		}
+	}
+	got := make([]float64, 1)
+	none.RawPredictBatchInto([][]float64{fill}, got)
+	if math.Float64bits(got[0]) != math.Float64bits(want) {
+		t.Fatalf("constant forest raw %v, full raw %v at fill", got[0], want)
+	}
+}

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"gef/internal/par"
 	"gef/internal/robust"
 )
 
@@ -206,23 +205,12 @@ func (f *Forest) PredictBatch(xs [][]float64) []float64 {
 	return out
 }
 
-// PredictBatchCtx evaluates Predict on every row of xs: raw scores run
-// through the compiled flat forest's batched traversal kernel, in
-// parallel over fixed row chunks (disjoint writes, so results are
-// bitwise identical at any worker count), then the objective transform
-// — hoisted out of the per-row loop — applies the same Sigmoid the
-// single-row path uses. Returns ctx.Err() if canceled.
+// PredictBatchCtx evaluates Predict on every row of xs through the
+// forest's flat compilation (Flat.PredictBatchCtx): batched kernels in
+// parallel over fixed row chunks, bitwise identical at any worker count
+// and to the single-row path. Returns ctx.Err() if canceled.
 func (f *Forest) PredictBatchCtx(ctx context.Context, xs [][]float64) ([]float64, error) {
-	out, err := f.RawPredictBatchCtx(ctx, xs)
-	if err != nil {
-		return nil, err
-	}
-	if f.Objective == BinaryLogistic {
-		for i, v := range out {
-			out[i] = Sigmoid(v)
-		}
-	}
-	return out, nil
+	return f.Flat().PredictBatchCtx(ctx, xs)
 }
 
 // RawPredictBatch evaluates RawPredict on every row of xs, like
@@ -234,17 +222,10 @@ func (f *Forest) RawPredictBatch(xs [][]float64) []float64 {
 }
 
 // RawPredictBatchCtx evaluates RawPredict on every row of xs through
-// the forest's flat compilation (Flat), parallel over fixed row chunks
-// with disjoint writes. Returns ctx.Err() if canceled.
+// the forest's flat compilation (Flat.RawPredictBatchCtx). Returns
+// ctx.Err() if canceled.
 func (f *Forest) RawPredictBatchCtx(ctx context.Context, xs [][]float64) ([]float64, error) {
-	fl := f.Flat()
-	out := make([]float64, len(xs))
-	if err := par.For(ctx, len(xs), 0, func(_, lo, hi int) {
-		fl.RawPredictBatchInto(xs[lo:hi], out[lo:hi])
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return f.Flat().RawPredictBatchCtx(ctx, xs)
 }
 
 // Sigmoid is the logistic function 1/(1+e^(−z)).

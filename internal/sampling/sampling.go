@@ -323,13 +323,12 @@ func dedupeSorted(sorted []float64) []float64 {
 // (0 for the continuous Random strategy).
 func (d *Domains) DomainSize(j int) int { return len(d.Points[j]) }
 
-// SampleRow fills a full-width input row: selected features draw uniformly
-// from their domains (or ranges for Random), unselected features take
-// their fill value.
+// SampleRow fills the full-width input row x (len NumFeatures): selected
+// features draw uniformly from their domains (or ranges for Random),
+// unselected features take their fill value.
 //
 //lint:ignore obsspan per-row hot path; the enclosing GenerateCtx span covers the batch
-func (d *Domains) SampleRow(rng *rand.Rand) []float64 {
-	x := make([]float64, d.NumFeatures)
+func (d *Domains) SampleRow(x []float64, rng *rand.Rand) {
 	copy(x, d.Fill)
 	for _, j := range d.Features {
 		if d.Strategy == Random {
@@ -340,7 +339,6 @@ func (d *Domains) SampleRow(rng *rand.Rand) []float64 {
 			x[j] = pts[rng.Intn(len(pts))]
 		}
 	}
-	return x
 }
 
 // Generate builds the synthetic dataset D*: n rows sampled from the
@@ -356,13 +354,18 @@ func Generate(f *forest.Forest, d *Domains, n int, seed int64) *dataset.Dataset 
 // GenerateCtx is Generate under an obs span; every generated row costs
 // one forest evaluation, counted in sampling.forest_evals. Row sampling
 // draws from one sequential RNG stream (so D*'s inputs are identical
-// for a given seed regardless of parallelism); the forest labeling —
-// the expensive part, one full forest traversal per row — runs through
-// the sealed forest's flat structure-of-arrays batch kernels (f.Flat()),
-// in parallel over fixed row chunks with disjoint writes, hence
-// bit-identical at any worker count. The caller's ctx threads all the
-// way into the traversal, so deadlines cancel the labeling itself.
-// Returns ctx.Err() if canceled.
+// for a given seed regardless of parallelism) into one n × NumFeatures
+// slab, each row a capped slice of it. Labeling — the expensive part —
+// runs through the sealed forest's Flat specialized to D*'s subspace
+// (Flat.Specialize over d.Features and d.Fill): every split on a
+// feature held at its fill value is resolved once, before the walk, so
+// each row visits only the nodes F′ decides, and labels are bitwise
+// what the full forest gives. The specialized Flat is built per call
+// and dropped with it; the span's nodes and specialized_nodes
+// attributes record what it saved. The batch kernels run in parallel
+// over fixed row chunks with disjoint writes, hence bit-identical at
+// any worker count, and the caller's ctx threads into the traversal, so
+// deadlines cancel the labeling itself. Returns ctx.Err() if canceled.
 func GenerateCtx(ctx context.Context, f *forest.Forest, d *Domains, n int, seed int64) (*dataset.Dataset, error) {
 	_, sp := obs.Start(ctx, "sampling.generate",
 		obs.Int("rows", n), obs.Str("strategy", string(d.Strategy)),
@@ -380,10 +383,16 @@ func GenerateCtx(ctx context.Context, f *forest.Forest, d *Domains, n int, seed 
 		FeatureNames: f.FeatureNames,
 		Task:         task,
 	}
-	for i := 0; i < n; i++ {
-		ds.X[i] = d.SampleRow(rng)
+	nf := d.NumFeatures
+	slab := make([]float64, n*nf)
+	for i := range ds.X {
+		ds.X[i] = slab[i*nf : (i+1)*nf : (i+1)*nf]
+		d.SampleRow(ds.X[i], rng)
 	}
-	ys, err := f.PredictBatchCtx(ctx, ds.X)
+	full := f.Flat()
+	fl := full.Specialize(d.Features, d.Fill)
+	sp.Set(obs.Int("nodes", full.NumNodes()), obs.Int("specialized_nodes", fl.NumNodes()))
+	ys, err := fl.PredictBatchCtx(ctx, ds.X)
 	if err != nil {
 		return nil, err
 	}

@@ -216,7 +216,8 @@ func TestSampleRowUsesFillForUnselected(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20; i++ {
-		row := d.SampleRow(rng)
+		row := make([]float64, d.NumFeatures)
+		d.SampleRow(row, rng)
 		if row[1] != 0.8 { // median of feature 1's single threshold
 			t.Fatalf("unselected feature = %v, want fill 0.8", row[1])
 		}
@@ -283,7 +284,9 @@ func TestRandomStrategySamplesContinuously(t *testing.T) {
 	seen := map[float64]bool{}
 	lo, hi := d.Ranges[0][0], d.Ranges[0][1]
 	for i := 0; i < 200; i++ {
-		v := d.SampleRow(rng)[0]
+		row := make([]float64, d.NumFeatures)
+		d.SampleRow(row, rng)
+		v := row[0]
 		if v < lo || v > hi {
 			t.Fatalf("sample %v outside [%v, %v]", v, lo, hi)
 		}
@@ -412,5 +415,59 @@ func TestDomainsWithinRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGenerateMatchesFullForestLabeling pins specialized D* labeling to
+// the full forest: for both objectives and for a discrete and the
+// continuous strategy, every row is the SampleRow sequence of the seed,
+// capped to its own width within the slab, and every label is bitwise
+// the pointer walk's prediction. F′ is a minority of the used features,
+// so the specialized forest really is smaller.
+func TestGenerateMatchesFullForestLabeling(t *testing.T) {
+	fixtures := []struct {
+		name string
+		data *dataset.Dataset
+		obj  forest.Objective
+	}{
+		{"regression", dataset.SuperconductivityN(1500, 3), forest.Regression},
+		{"binary_logistic", dataset.CensusN(1500, 3), forest.BinaryLogistic},
+	}
+	for _, fx := range fixtures {
+		f, err := gbdt.Train(fx.data, gbdt.Params{NumTrees: 40, NumLeaves: 12, Objective: fx.obj, Seed: 2})
+		if err != nil {
+			t.Fatalf("%s: training: %v", fx.name, err)
+		}
+		used := f.UsedFeatures()
+		if len(used) < 8 {
+			t.Fatalf("%s: forest uses only %d features", fx.name, len(used))
+		}
+		selected := []int{used[len(used)-1], used[0], used[len(used)/2]}
+		for _, s := range []Strategy{EquiSize, Random} {
+			d, err := BuildDomains(f, selected, Config{Strategy: s, K: 20, Seed: 1})
+			if err != nil {
+				t.Fatalf("%s/%s: BuildDomains: %v", fx.name, s, err)
+			}
+			if sp := f.Flat().Specialize(d.Features, d.Fill); sp.NumNodes() >= f.NumNodes() {
+				t.Fatalf("%s/%s: specialization kept %d of %d nodes", fx.name, s, sp.NumNodes(), f.NumNodes())
+			}
+			ds := Generate(f, d, 700, 9)
+			rng := rand.New(rand.NewSource(9))
+			want := make([]float64, f.NumFeatures)
+			for i, x := range ds.X {
+				if len(x) != f.NumFeatures || cap(x) != f.NumFeatures {
+					t.Fatalf("%s/%s: row %d has len %d cap %d, want %d", fx.name, s, i, len(x), cap(x), f.NumFeatures)
+				}
+				d.SampleRow(want, rng)
+				for j, v := range want {
+					if math.Float64bits(x[j]) != math.Float64bits(v) {
+						t.Fatalf("%s/%s: row %d feature %d = %v, SampleRow gives %v", fx.name, s, i, j, x[j], v)
+					}
+				}
+				if got, want := ds.Y[i], f.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s/%s: row %d label %v, full forest %v", fx.name, s, i, got, want)
+				}
+			}
+		}
 	}
 }

@@ -193,6 +193,10 @@ func runClient(ctx context.Context, hc *http.Client, cfg LoadConfig, id int, dea
 		status, err := postJSON(ctx, hc, cfg.BaseURL+"/v1/"+kind, tenant, body, cancelMS)
 		elapsed := float64(time.Since(start).Microseconds()) / 1000
 		switch {
+		case err != nil && ctx.Err() != nil:
+			// The run's own caller stopped it mid-request. That is not a
+			// client error, and the request never completed, so it is
+			// left out of every tally, latencies included.
 		case err != nil && cancelMS > 0:
 			res.cancels++
 		case err != nil:

@@ -65,6 +65,9 @@ func TestLoadReportRateIsMeasured(t *testing.T) {
 	if rep.DurationS <= 0 || rep.DurationS >= cfg.Duration.Seconds() {
 		t.Fatalf("run cancelled after 300ms reports %vs (configured %v)", rep.DurationS, cfg.Duration)
 	}
+	if rep.ClientErrors != 0 {
+		t.Fatalf("run stopped by its caller reports %d client errors: requests in flight at cancellation are not errors", rep.ClientErrors)
+	}
 	if want := float64(rep.Requests) / rep.DurationS; rep.ReqPerSec != want {
 		t.Fatalf("ReqPerSec %v, want Requests/DurationS = %d/%v = %v", rep.ReqPerSec, rep.Requests, rep.DurationS, want)
 	}
