@@ -12,10 +12,10 @@
 //
 // Observability (see internal/obs and README "Observability"):
 //
-//	gef -forest forest.json -trace - -v        # JSONL trace + human progress
+//	gef -forest forest.json -trace t.jsonl -v  # JSONL trace + one line per span
 //	gef -forest forest.json -metrics-out m.json -cpuprofile cpu.pprof
-//	gef -forest forest.json -trace t.json -trace-format chrome   # chrome://tracing
-//	gef -forest forest.json -obs-listen localhost:9090           # /metrics /healthz /flight
+//	gef -chrome t.jsonl > t.json               # render a trace for chrome://tracing
+//	gef -forest forest.json -obs-listen localhost:9090   # /metrics /healthz /flight
 //	gef -flight-dump gef-flight.json           # pretty-print a dump-on-error ring
 package main
 
@@ -60,6 +60,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "worker goroutines for parallel stages (0 = GOMAXPROCS); results are identical at any count")
 		timeout      = flag.Duration("timeout", 0, "abort the pipeline after this duration (0 = no deadline), e.g. 90s or 5m")
 		flightDump   = flag.String("flight-dump", "", "pretty-print a flight-recorder snapshot (written by -flight-out or a dump-on-error) and exit")
+		chromeOf     = flag.String("chrome", "", "render a -trace JSONL file as Chrome trace_event JSON on stdout (chrome://tracing, Perfetto) and exit")
 	)
 	ocli.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -72,6 +73,16 @@ func main() {
 		}
 		if err := obs.WriteFlightText(os.Stdout, s); err != nil {
 			fatal("printing flight dump: %v", err)
+		}
+		return
+	}
+	if *chromeOf != "" {
+		spans, err := obs.ReadTraceFile(*chromeOf)
+		if err != nil {
+			fatal("reading trace: %v", err)
+		}
+		if err := obs.WriteChromeTrace(os.Stdout, spans); err != nil {
+			fatal("writing chrome trace: %v", err)
 		}
 		return
 	}

@@ -480,12 +480,12 @@ type Degradation = robust.Degradation
 
 // --- Observability (internal/obs) ----------------------------------------
 
-// TraceSink receives completed pipeline spans; see NewTextTraceSink and
-// NewJSONTraceSink for the built-in implementations.
+// TraceSink receives each completed pipeline span at End; see
+// NewTextTraceSink and NewJSONTraceSink for the built-in implementations.
 type TraceSink = obs.Sink
 
 // TraceSpan is the record a TraceSink receives for each pipeline span:
-// name, nesting, wall time, heap-allocation deltas and attributes.
+// name, nesting, start, wall time and attributes.
 type TraceSpan = obs.SpanData
 
 // SpanAttr is one key/value annotation on a trace span.
@@ -498,12 +498,13 @@ type SpanAttr = obs.Attr
 // effectively free.
 func SetTraceSink(s TraceSink) { obs.SetSink(s) }
 
-// NewTextTraceSink returns a human-readable indented span log writer
-// (the CLIs' -v progress mode).
+// NewTextTraceSink returns a writer of one human-readable line per
+// completed span, indented by depth (the CLIs' -v mode).
 func NewTextTraceSink(w io.Writer) TraceSink { return obs.NewTextSink(w) }
 
 // NewJSONTraceSink returns a JSON-lines span writer for machine
-// analysis (the CLIs' -trace output).
+// analysis (the CLIs' -trace output; `gef -chrome` renders such a file
+// for chrome://tracing and Perfetto).
 func NewJSONTraceSink(w io.Writer) TraceSink { return obs.NewJSONSink(w) }
 
 // CombineTraceSinks fans spans out to several sinks (nil entries are
@@ -532,11 +533,6 @@ func PipelineMetrics() *MetricsRegistry { return obs.Metrics() }
 // environment-stamped JSON snapshot — the shape the CLIs' -metrics-out
 // flag writes.
 func WriteBenchReport(path, name string) error { return obs.WriteBenchReport(path, name) }
-
-// NewChromeTraceSink returns a Chrome trace_event JSON writer — load
-// the output in chrome://tracing or Perfetto (the CLIs'
-// -trace-format=chrome mode). Call Flush to terminate the JSON array.
-func NewChromeTraceSink(w io.Writer) TraceSink { return obs.NewChromeTraceSink(w) }
 
 // TelemetryHandler returns the operational HTTP surface over the
 // process-wide registry and flight recorder: /metrics (Prometheus text

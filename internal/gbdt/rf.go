@@ -82,7 +82,7 @@ func TrainRF(ds *dataset.Dataset, p RFParams) (*forest.Forest, error) {
 
 	n := ds.NumRows()
 	numFeat := ds.NumFeatures()
-	_, sp := obs.Start(context.Background(), "gbdt.train_rf",
+	ctx, sp := obs.Start(context.Background(), "gbdt.train_rf",
 		obs.Int("rows", n),
 		obs.Int("features", numFeat),
 		obs.Int("num_trees", p.NumTrees),
@@ -119,15 +119,16 @@ func TrainRF(ds *dataset.Dataset, p RFParams) (*forest.Forest, error) {
 	// the forest is identical at any worker count (and no longer depends
 	// on a shared sequential RNG).
 	f.Trees = make([]forest.Tree, p.NumTrees)
-	//lint:ignore errdrop background context cannot be canceled
-	_ = par.For(context.Background(), p.NumTrees, p.NumTrees, func(t, _, _ int) {
+	//lint:ignore errdrop background-rooted context cannot be canceled
+	_ = par.For(ctx, p.NumTrees, p.NumTrees, func(t, _, _ int) {
 		rng := rand.New(rand.NewSource(par.SplitSeed(p.Seed, 2*t)))
 		rows := make([]int, n)
 		for i := range rows {
 			rows[i] = rng.Intn(n) // bootstrap: with replacement
 		}
 		feats := sampleFeatures(par.SplitSeed(p.Seed, 2*t+1), numFeat, p.FeatureFraction)
-		f.Trees[t] = growTree(bd, grad, hess, rows, feats, gp)
+		//lint:ignore errdrop background-rooted context cannot be canceled
+		f.Trees[t], _ = growTree(ctx, bd, grad, hess, rows, feats, gp)
 	})
 	if err := f.Seal(); err != nil {
 		return nil, fmt.Errorf("gbdt: produced invalid RF: %w", err)

@@ -141,7 +141,7 @@ func TrainValidCtx(ctx context.Context, train, valid *dataset.Dataset, p Params)
 
 	n := train.NumRows()
 	numFeat := train.NumFeatures()
-	_, sp := obs.Start(ctx, "gbdt.train",
+	ctx, sp := obs.Start(ctx, "gbdt.train",
 		obs.Int("rows", n),
 		obs.Int("features", numFeat),
 		obs.Int("num_trees", p.NumTrees),
@@ -213,7 +213,10 @@ func TrainValidCtx(ctx context.Context, train, valid *dataset.Dataset, p Params)
 		}
 
 		growStart := time.Now()
-		tree := growTree(bd, grad, hess, rows, feats, gp)
+		tree, err := growTree(ctx, bd, grad, hess, rows, feats, gp)
+		if err != nil {
+			return nil, nil, err
+		}
 		mGrowMs.Observe(float64(time.Since(growStart)) / float64(time.Millisecond))
 		mTreesGrown.Inc()
 		f.Trees = append(f.Trees, tree)

@@ -1,11 +1,16 @@
 package gbdt
 
 import (
+	"context"
+	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"gef/internal/dataset"
 	"gef/internal/forest"
+	"gef/internal/obs"
+	"gef/internal/par"
 	"gef/internal/stats"
 )
 
@@ -324,4 +329,109 @@ func TestBaseScore(t *testing.T) {
 	if g := baseScore([]float64{1, 1}, forest.BinaryLogistic); math.IsInf(g, 0) {
 		t.Error("logistic base overflowed")
 	}
+}
+
+// TestTrainAttributesParChunks: histogram accumulation and the raw-score
+// updates run under the gbdt.train span, so their par chunks count on
+// site="gbdt.train" and none on site="untraced"; the forest is the same
+// at every worker count.
+func TestTrainAttributesParChunks(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	chunks := obs.Metrics().CounterVec("par.chunks", "site")
+	untraced, traced := chunks.With("untraced"), chunks.With("gbdt.train")
+	ds := dataset.GPrime(600, 0.1, 5)
+	valid := dataset.GPrime(200, 0.1, 6)
+	p := Params{NumTrees: 15, NumLeaves: 8, Seed: 3, BaggingFraction: 0.8, FeatureFraction: 0.8}
+	var want string
+	for _, workers := range []int{1, 2, 4} {
+		par.SetWorkers(workers)
+		u0, t0 := untraced.Value(), traced.Value()
+		f, _, err := TrainValidCtx(context.Background(), ds, valid, p)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if d := untraced.Value() - u0; d != 0 {
+			t.Errorf("workers=%d: %d par chunks on site=untraced", workers, d)
+		}
+		if traced.Value() == t0 {
+			t.Errorf("workers=%d: no par chunks on site=gbdt.train", workers)
+		}
+		data, err := forest.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == "" {
+			want = string(data)
+		} else if string(data) != want {
+			t.Errorf("workers=%d: forest differs from workers=1", workers)
+		}
+	}
+}
+
+// countdownCtx reports cancellation from its (n+1)th Err call on, so a
+// test can cancel training at every check point deterministically.
+type countdownCtx struct {
+	context.Context
+	left *atomic.Int64
+}
+
+func (c countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// cancelAtEveryCheck runs fn once uncanceled to count its ctx checks,
+// then once canceled at each check in turn, and requires fn to report
+// context.Canceled every time.
+func cancelAtEveryCheck(t *testing.T, fn func(ctx context.Context) error) {
+	t.Helper()
+	left := new(atomic.Int64)
+	left.Store(math.MaxInt64 / 2)
+	if err := fn(countdownCtx{context.Background(), left}); err != nil {
+		t.Fatalf("uncanceled run: %v", err)
+	}
+	checks := math.MaxInt64/2 - left.Load()
+	if checks < 4 {
+		t.Fatalf("only %d ctx checks", checks)
+	}
+	for n := int64(0); n < checks; n++ {
+		left.Store(n)
+		if err := fn(countdownCtx{context.Background(), left}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled at check %d of %d: err = %v", n, checks, err)
+		}
+	}
+}
+
+// TestTrainCanceledAtEveryCheck cancels training, and one tree's growth,
+// at each ctx check in turn — inside histogram accumulation included —
+// and requires the ctx error and no result every time: a tree grown
+// from a partial histogram must never come back.
+func TestTrainCanceledAtEveryCheck(t *testing.T) {
+	ds := dataset.GPrime(300, 0.1, 7)
+	p := Params{NumTrees: 4, NumLeaves: 6, Seed: 1}
+	cancelAtEveryCheck(t, func(ctx context.Context) error {
+		f, _, err := TrainValidCtx(ctx, ds, nil, p)
+		if err != nil && f != nil {
+			t.Fatalf("forest returned with error %v", err)
+		}
+		return err
+	})
+
+	bd := binDataset(ds.X, ds.NumFeatures(), 64)
+	grad, hess := make([]float64, len(ds.Y)), make([]float64, len(ds.Y))
+	rows := make([]int, len(ds.Y))
+	for i := range rows {
+		rows[i], grad[i], hess[i] = i, -ds.Y[i], 1
+	}
+	feats := []int{0, 1, 2, 3, 4}
+	gp := growParams{numLeaves: 8, minSamplesLeaf: 5, lambda: 1, learningRate: 1}
+	cancelAtEveryCheck(t, func(ctx context.Context) error {
+		tree, err := growTree(ctx, bd, grad, hess, rows, feats, gp)
+		if err != nil && len(tree.Nodes) != 0 {
+			t.Fatalf("tree returned with error %v", err)
+		}
+		return err
+	})
 }

@@ -37,10 +37,10 @@ func newHistogram(bd *binnedData, features []int) *histogram {
 // accumulate adds the gradient statistics of the given rows to h,
 // in parallel over features: each feature's bin slice is written by
 // exactly one chunk, and within a feature rows are scanned in order, so
-// the result is bitwise identical to a serial scan.
-func (h *histogram) accumulate(bd *binnedData, rows []int, grad, hess []float64) {
-	//lint:ignore errdrop background context cannot be canceled
-	_ = par.For(context.Background(), len(h.features), len(h.features), func(_, lo, hi int) {
+// the result is bitwise identical to a serial scan. On a non-nil error
+// (ctx canceled) h is partial and must be discarded.
+func (h *histogram) accumulate(ctx context.Context, bd *binnedData, rows []int, grad, hess []float64) error {
+	return par.For(ctx, len(h.features), len(h.features), func(_, lo, hi int) {
 		for fi := lo; fi < hi; fi++ {
 			f := h.features[fi]
 			cells := h.bins[f]
@@ -108,8 +108,10 @@ type grower struct {
 }
 
 // growTree builds one regression tree on the given row subset against the
-// current gradients/hessians and returns it. rows is not retained.
-func growTree(bd *binnedData, grad, hess []float64, rows []int, features []int, p growParams) forest.Tree {
+// current gradients/hessians and returns it. rows is not retained. ctx
+// carries the training span (so histogram chunks are attributed to it)
+// and cancellation: a canceled ctx returns its error and no tree.
+func growTree(ctx context.Context, bd *binnedData, grad, hess []float64, rows []int, features []int, p growParams) (forest.Tree, error) {
 	g := &grower{
 		bd:       bd,
 		grad:     grad,
@@ -125,7 +127,9 @@ func growTree(bd *binnedData, grad, hess []float64, rows []int, features []int, 
 		root.sumH += hess[r]
 	}
 	root.hist = newHistogram(bd, features)
-	root.hist.accumulate(bd, g.indices, grad, hess)
+	if err := root.hist.accumulate(ctx, bd, g.indices, grad, hess); err != nil {
+		return forest.Tree{}, err
+	}
 	g.findBestSplit(root)
 	g.nodes = append(g.nodes, forest.Node{Left: -1, Right: -1, Cover: float64(len(rows))})
 	g.leaves = append(g.leaves, root)
@@ -142,14 +146,16 @@ func growTree(bd *binnedData, grad, hess []float64, rows []int, features []int, 
 		if bestIdx < 0 {
 			break
 		}
-		g.split(bestIdx)
+		if err := g.split(ctx, bestIdx); err != nil {
+			return forest.Tree{}, err
+		}
 		numLeaves++
 	}
 	// Finalize remaining leaves with shrunken Newton values.
 	for _, l := range g.leaves {
 		g.nodes[l.node].Value = -l.sumG / (l.sumH + p.lambda) * p.learningRate
 	}
-	return forest.Tree{Nodes: g.nodes}
+	return forest.Tree{Nodes: g.nodes}, nil
 }
 
 // findBestSplit scans the leaf's histogram for the highest-gain split.
@@ -190,7 +196,8 @@ func (g *grower) findBestSplit(l *leafState) {
 }
 
 // split converts leaves[idx] into an internal node with two new leaves.
-func (g *grower) split(idx int) {
+// A non-nil error (ctx canceled) leaves the grower unusable.
+func (g *grower) split(ctx context.Context, idx int) error {
 	l := g.leaves[idx]
 	f, bin := l.best.feature, l.best.bin
 	fb := g.bd.bins[f]
@@ -226,7 +233,9 @@ func (g *grower) split(idx int) {
 		small, large = rc, lc
 	}
 	small.hist = newHistogram(g.bd, g.features)
-	small.hist.accumulate(g.bd, g.indices[small.start:small.end], g.grad, g.hess)
+	if err := small.hist.accumulate(ctx, g.bd, g.indices[small.start:small.end], g.grad, g.hess); err != nil {
+		return err
+	}
 	large.hist = l.hist
 	large.hist.subtract(small.hist)
 	l.hist = nil
@@ -249,4 +258,5 @@ func (g *grower) split(idx int) {
 	g.findBestSplit(rc)
 	g.leaves[idx] = lc
 	g.leaves = append(g.leaves, rc)
+	return nil
 }

@@ -1,6 +1,7 @@
 package gbdt
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,16 +31,23 @@ func TestHistogramSubtraction(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
+	ctx := context.Background()
 	parent := newHistogram(bd, features)
-	parent.accumulate(bd, rows, grad, hess)
+	if err := parent.accumulate(ctx, bd, rows, grad, hess); err != nil {
+		t.Fatal(err)
+	}
 
 	// Random split of the rows.
 	cut := 100 + r.Intn(300)
 	left, right := rows[:cut], rows[cut:]
 	lh := newHistogram(bd, features)
-	lh.accumulate(bd, left, grad, hess)
 	rh := newHistogram(bd, features)
-	rh.accumulate(bd, right, grad, hess)
+	if err := lh.accumulate(ctx, bd, left, grad, hess); err != nil {
+		t.Fatal(err)
+	}
+	if err := rh.accumulate(ctx, bd, right, grad, hess); err != nil {
+		t.Fatal(err)
+	}
 
 	parent.subtract(lh) // parent now holds the right child
 	for f, cells := range parent.bins {
@@ -73,9 +81,12 @@ func TestGrowTreePartitionInvariants(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	tree := growTree(bd, grad, hess, rows, []int{0, 1, 2}, growParams{
+	tree, err := growTree(context.Background(), bd, grad, hess, rows, []int{0, 1, 2}, growParams{
 		numLeaves: 16, minSamplesLeaf: 10, lambda: 1, learningRate: 1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Sibling covers sum to the parent's everywhere.
 	for i := range tree.Nodes {

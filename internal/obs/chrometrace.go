@@ -1,44 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
-	"sync"
+	"slices"
+	"time"
 )
-
-// ChromeTraceSink writes spans as Chrome trace_event JSON (the "JSON
-// Array Format"), loadable directly in chrome://tracing and Perfetto:
-// Engine stage timelines, the par worker fan-out and SHAP hot paths
-// render as nested duration slices on a shared time axis. Selected on
-// the CLIs with -trace-format=chrome.
-//
-// Span mapping:
-//
-//   - a span becomes a B ("begin") event at Start and an E ("end") event
-//     at End, with ts in microseconds since the Unix epoch;
-//   - span events (zero-wall Event records) become instant events
-//     (ph "i", scope "t");
-//   - pid is always 1; tid is a lane derived from the span lineage: a
-//     span inherits its parent's lane while it is the only open child,
-//     and overlapping siblings (par fan-outs, concurrent requests) are
-//     moved to fresh lanes keyed by their own span id. Lanes are
-//     goroutine-stable — a span and its same-goroutine descendants stay
-//     on one lane — so every lane's B/E stream is properly nested, which
-//     the Chrome viewer requires;
-//   - End attributes (plus the heap-allocation deltas) land in args.
-//
-// A span that ends without a recorded begin (the sink was installed
-// mid-span) degrades to a self-contained X ("complete") event.
-type ChromeTraceSink struct {
-	mu     sync.Mutex
-	w      io.Writer
-	err    error // first write error, surfaced by Flush
-	wrote  bool  // whether any event has been emitted (comma placement)
-	closed bool
-
-	lanes map[uint64]uint64   // span id → lane (tid)
-	open  map[uint64][]uint64 // lane → stack of open span ids
-}
 
 // chromeEvent is one trace_event record.
 type chromeEvent struct {
@@ -53,132 +21,100 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// NewChromeTraceSink returns a sink writing one JSON event array to w.
-// Call Flush to terminate the array; without it most viewers still load
-// the file (the array format tolerates a missing closing bracket), but
-// Flush also surfaces any write error.
-func NewChromeTraceSink(w io.Writer) *ChromeTraceSink {
-	return &ChromeTraceSink{
-		w:     w,
-		lanes: make(map[uint64]uint64),
-		open:  make(map[uint64][]uint64),
+// WriteChromeTrace renders completed spans — a -trace file loaded with
+// ReadTraceFile — as Chrome trace_event JSON (the "JSON Array Format"),
+// loadable in chrome://tracing and Perfetto: engine stage timelines, the
+// par worker fan-out and SHAP hot paths show as nested slices on one
+// time axis. `gef -chrome <trace.jsonl>` is its command-line view.
+//
+// Mapping:
+//
+//   - a span becomes an X ("complete") event; a zero-wall record (a
+//     Span.Event) becomes an instant event (ph "i", scope "t") on its
+//     parent's lane;
+//   - ts and dur are in microseconds, ts counted from the earliest
+//     record;
+//   - pid is always 1; tid is a lane replayed in start order from the
+//     span lineage: a span takes its parent's lane while the parent is
+//     the innermost open span there (and the span ends within it), and
+//     otherwise opens a fresh lane named by its own id. Overlapping
+//     siblings (par fan-outs, concurrent requests) so move to fresh
+//     lanes, sequential descendants share their ancestor's lane, and the
+//     X events on every lane nest, as the viewers require;
+//   - attributes land in args.
+func WriteChromeTrace(w io.Writer, spans []SpanData) error {
+	order := make([]*SpanData, len(spans))
+	for i := range spans {
+		order[i] = &spans[i]
 	}
-}
+	// A parent starts before its children and has the smaller id, so
+	// (Start, ID) order opens every parent first.
+	slices.SortFunc(order, func(a, b *SpanData) int {
+		if c := a.Start.Compare(b.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	end := func(sp *SpanData) time.Time { return sp.Start.Add(sp.Wall) }
 
-// emit writes one event, handling the array framing. Caller holds mu.
-func (c *ChromeTraceSink) emit(ev chromeEvent) {
-	if c.err != nil || c.closed {
-		return
-	}
-	prefix := ",\n"
-	if !c.wrote {
-		prefix = "[\n"
-	}
-	data, err := json.Marshal(ev)
-	if err != nil {
-		c.err = err
-		return
-	}
-	if _, err := io.WriteString(c.w, prefix); err != nil {
-		c.err = err
-		return
-	}
-	if _, err := c.w.Write(data); err != nil {
-		c.err = err
-		return
-	}
-	c.wrote = true
-}
-
-// usec converts a SpanData timestamp to trace_event microseconds.
-func usec(sp *SpanData) float64 { return float64(sp.Start.UnixNano()) / 1e3 }
-
-// lane resolves the tid for a new span: the parent's lane when the
-// parent is the innermost open span there, otherwise a fresh lane named
-// by the span's own id.
-func (c *ChromeTraceSink) lane(sp *SpanData) uint64 {
-	if sp.Parent != 0 {
-		if l, ok := c.lanes[sp.Parent]; ok {
-			stack := c.open[l]
-			if len(stack) > 0 && stack[len(stack)-1] == sp.Parent {
-				return l
+	lanes := make(map[uint64]uint64, len(order)) // span id → tid
+	open := make(map[uint64][]*SpanData)         // tid → open spans, outermost first
+	events := make([]chromeEvent, 0, len(order))
+	for _, sp := range order {
+		ev := chromeEvent{Name: sp.Name, Cat: "gef", PID: 1, TID: sp.ID,
+			TS: float64(sp.Start.Sub(order[0].Start)) / 1e3, Args: spanArgs(sp)}
+		l, parentKnown := lanes[sp.Parent]
+		if sp.Wall == 0 {
+			ev.Phase, ev.Scope = "i", "t"
+			if parentKnown {
+				ev.TID = l
+			}
+			events = append(events, ev)
+			continue
+		}
+		ev.Phase, ev.Dur = "X", float64(sp.Wall)/1e3
+		if parentKnown {
+			stack := open[l]
+			for len(stack) > 0 && !end(stack[len(stack)-1]).After(sp.Start) {
+				stack = stack[:len(stack)-1]
+			}
+			open[l] = stack
+			if n := len(stack); n > 0 && stack[n-1].ID == sp.Parent && !end(sp).After(end(stack[n-1])) {
+				ev.TID = l
 			}
 		}
+		lanes[sp.ID] = ev.TID
+		open[ev.TID] = append(open[ev.TID], sp)
+		events = append(events, ev)
 	}
-	return sp.ID
-}
 
-func (c *ChromeTraceSink) Begin(sp *SpanData) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l := c.lane(sp)
-	c.lanes[sp.ID] = l
-	c.open[l] = append(c.open[l], sp.ID)
-	c.emit(chromeEvent{Name: sp.Name, Cat: "gef", Phase: "B", TS: usec(sp), PID: 1, TID: l})
-}
-
-func (c *ChromeTraceSink) End(sp *SpanData) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l, begun := c.lanes[sp.ID]
-	args := spanArgs(sp)
-	switch {
-	case !begun && sp.Wall == 0:
-		// An instant span event: attach it to the owning span's lane.
-		pl, ok := c.lanes[sp.Parent]
-		if !ok {
-			pl = sp.ID
-		}
-		c.emit(chromeEvent{Name: sp.Name, Cat: "gef", Phase: "i", TS: usec(sp), PID: 1, TID: pl, Scope: "t", Args: args})
-	case !begun:
-		// End without Begin (sink installed mid-span): a complete event.
-		c.emit(chromeEvent{Name: sp.Name, Cat: "gef", Phase: "X",
-			TS: usec(sp), Dur: float64(sp.Wall.Microseconds()), PID: 1, TID: sp.ID, Args: args})
-	default:
-		delete(c.lanes, sp.ID)
-		if stack := c.open[l]; len(stack) > 0 && stack[len(stack)-1] == sp.ID {
-			if len(stack) == 1 {
-				delete(c.open, l)
-			} else {
-				c.open[l] = stack[:len(stack)-1]
-			}
-		}
-		c.emit(chromeEvent{Name: sp.Name, Cat: "gef", Phase: "E",
-			TS: usec(sp) + float64(sp.Wall.Microseconds()), PID: 1, TID: l, Args: args})
+	if len(events) == 0 {
+		_, err := io.WriteString(w, "[]\n")
+		return err
 	}
+	out := []byte("[")
+	for i, ev := range events {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(append(out, '\n'), data...)
+	}
+	_, err := w.Write(append(out, "\n]\n"...))
+	return err
 }
 
-// spanArgs flattens attributes and allocation deltas for the viewer's
-// slice-details pane.
+// spanArgs flattens attributes for the viewer's slice-details pane.
 func spanArgs(sp *SpanData) map[string]any {
-	if len(sp.Attrs) == 0 && sp.AllocBytes == 0 {
+	if len(sp.Attrs) == 0 {
 		return nil
 	}
-	args := make(map[string]any, len(sp.Attrs)+2)
+	args := make(map[string]any, len(sp.Attrs))
 	for _, a := range sp.Attrs {
 		args[a.Key] = a.Value
 	}
-	if sp.AllocBytes > 0 {
-		args["alloc_bytes"] = sp.AllocBytes
-		args["alloc_objects"] = sp.AllocObjects
-	}
 	return args
-}
-
-// Flush terminates the JSON array and reports the first write error.
-// Further events are dropped.
-func (c *ChromeTraceSink) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.closed {
-		suffix := "\n]\n"
-		if !c.wrote {
-			suffix = "[]\n"
-		}
-		if _, err := io.WriteString(c.w, suffix); err != nil && c.err == nil {
-			c.err = err
-		}
-		c.closed = true
-	}
-	return c.err
 }

@@ -12,9 +12,8 @@ import (
 // CLI bundles the observability flags shared by the gef, forestgen and
 // experiments commands:
 //
-//	-trace <file|->     span trace (stdout with "-")
-//	-trace-format <f>   trace encoding: jsonl (default), text, chrome
-//	-v                  human-readable span progress on stderr
+//	-trace <file|->     JSON-lines span trace (stdout with "-")
+//	-v                  one human-readable line per span on stderr
 //	-metrics-out <f>    BENCH-shaped metrics snapshot written on exit
 //	-flight-out <f>     flight-recorder snapshot written on exit
 //	-obs-listen <addr>  serve /metrics, /healthz and /flight while running
@@ -34,47 +33,24 @@ import (
 // call DumpFlight to persist the flight recorder even when -flight-out
 // was not given (dump-on-error).
 type CLI struct {
-	Trace       string
-	TraceFormat string
-	MetricsOut  string
-	FlightOut   string
-	ObsListen   string
-	CPUProfile  string
-	MemProfile  string
-	Verbose     bool
+	Trace      string
+	MetricsOut string
+	FlightOut  string
+	ObsListen  string
+	CPUProfile string
+	MemProfile string
+	Verbose    bool
 }
-
-// Trace encodings accepted by -trace-format.
-const (
-	TraceJSONL  = "jsonl"
-	TraceText   = "text"
-	TraceChrome = "chrome"
-)
 
 // RegisterFlags declares the shared observability flags on fs.
 func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
-	fs.StringVar(&c.Trace, "trace", "", "write a span trace to this file ('-' for stdout)")
-	fs.StringVar(&c.TraceFormat, "trace-format", TraceJSONL,
-		"encoding for -trace: jsonl (machine analysis), text (human log), chrome (chrome://tracing / Perfetto trace_event JSON)")
+	fs.StringVar(&c.Trace, "trace", "", "write a JSON-lines span trace to this file ('-' for stdout)")
 	fs.StringVar(&c.MetricsOut, "metrics-out", "", "write a JSON metrics snapshot (BENCH shape) to this file on exit")
 	fs.StringVar(&c.FlightOut, "flight-out", "", "write a flight-recorder snapshot (JSON) to this file on exit; errors and degradations dump here automatically")
 	fs.StringVar(&c.ObsListen, "obs-listen", "", "serve /metrics (Prometheus), /healthz and /flight on this address while running (e.g. localhost:9090)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile (stages labelled "+pprofLabelKey+") to this file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
-	fs.BoolVar(&c.Verbose, "v", false, "print human-readable span progress to stderr")
-}
-
-// traceSink builds the sink selected by -trace-format for w.
-func (c *CLI) traceSink(w io.Writer) (Sink, error) {
-	switch c.TraceFormat {
-	case TraceJSONL, "":
-		return NewJSONSink(w), nil
-	case TraceText:
-		return NewTextSink(w), nil
-	case TraceChrome:
-		return NewChromeTraceSink(w), nil
-	}
-	return nil, fmt.Errorf("obs: unknown -trace-format %q (want jsonl, text or chrome)", c.TraceFormat)
+	fs.BoolVar(&c.Verbose, "v", false, "print one human-readable line per completed span to stderr")
 }
 
 // DumpFlight writes the flight recorder to -flight-out, or to
@@ -117,12 +93,7 @@ func (c *CLI) Start(name string) (stop func(), err error) {
 			closers = append(closers, f)
 			w = f
 		}
-		s, err := c.traceSink(w)
-		if err != nil {
-			cleanupOnErr()
-			return nil, err
-		}
-		sinks = append(sinks, s)
+		sinks = append(sinks, NewJSONSink(w))
 	}
 	if c.Verbose {
 		sinks = append(sinks, NewTextSink(os.Stderr))

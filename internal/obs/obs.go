@@ -7,10 +7,11 @@
 //
 //   - Spans measure the *macro* structure — one span per pipeline stage
 //     (feature selection, domain construction, D* generation, interaction
-//     ranking, GAM fit, P-IRLS iterations). Spans carry wall time,
-//     heap-allocation deltas (runtime.MemStats) and key/value attributes,
-//     and are emitted to a pluggable Sink (no-op by default, human text,
-//     or JSON-lines for machine analysis).
+//     ranking, GAM fit, P-IRLS iterations). Spans carry wall time and
+//     key/value attributes, and each completed span is emitted to a
+//     pluggable Sink: none by default, JSON lines for -trace (the one
+//     on-disk span format; WriteChromeTrace renders it for
+//     chrome://tracing offline), or one text line per span for -v.
 //   - Metrics count the *micro* structure — per-iteration boosting
 //     timings, P-IRLS iteration counts, SHAP node visits, PD forest
 //     evaluations. They are always-on atomics with negligible cost, so
@@ -19,19 +20,15 @@
 // A third consumer rides on the span stream: the always-on flight
 // recorder (see recorder.go), a fixed-size ring of the most recent
 // completed spans, events, degradations and errors that production runs
-// dump on error and the telemetry handler serves at /flight. With the
-// recorder enabled (the default) Start always returns a live span; the
-// per-span cost is one small allocation plus a short ring write at End
-// (ReadMemStats is still skipped unless a sink is installed, so alloc
-// deltas are only measured when tracing is on). When the recorder is
-// disabled too, Start returns a nil *Span whose methods no-op and the
-// pipeline is effectively free (one atomic load per stage). In every
-// mode the pipeline output is byte-identical to an uninstrumented one.
+// dump on error and the telemetry handler serves at /flight. Start
+// therefore always returns a live span; its cost is one small
+// allocation plus a short ring write at End, and an installed sink adds
+// only its own End call. In every mode the pipeline output is
+// byte-identical to an uninstrumented one.
 package obs
 
 import (
 	"context"
-	"runtime"
 	"runtime/pprof"
 	"sync/atomic"
 	"time"
@@ -51,8 +48,9 @@ func Str(k, v string) Attr               { return Attr{Key: k, Value: v} }
 func Bool(k string, v bool) Attr         { return Attr{Key: k, Value: v} }
 func Dur(k string, v time.Duration) Attr { return Attr{Key: k, Value: v.Seconds()} }
 
-// SpanData is the immutable record a Sink receives. At Begin time Wall and
-// the allocation deltas are still zero; End fills them in.
+// SpanData is the immutable record of a completed span (or a zero-wall
+// event) that a Sink receives at End. Allocation is not measured per
+// span: use -memprofile, which attributes it to call sites.
 type SpanData struct {
 	ID     uint64    `json:"id"`
 	Parent uint64    `json:"parent,omitempty"`
@@ -60,14 +58,8 @@ type SpanData struct {
 	Depth  int       `json:"depth"`
 	Start  time.Time `json:"start"`
 	// Wall is the span duration in nanoseconds.
-	Wall time.Duration `json:"wall_ns"`
-	// AllocBytes / AllocObjects are the process-wide heap-allocation
-	// deltas (runtime.MemStats TotalAlloc / Mallocs) over the span. They
-	// include allocations by concurrent goroutines; at the pipeline's
-	// stage granularity the stage under measurement dominates.
-	AllocBytes   uint64 `json:"alloc_bytes"`
-	AllocObjects uint64 `json:"alloc_objects"`
-	Attrs        []Attr `json:"attrs,omitempty"`
+	Wall  time.Duration `json:"wall_ns"`
+	Attrs []Attr        `json:"attrs,omitempty"`
 }
 
 // pprofLabelKey is the label key under which CPU-profile samples are
@@ -100,10 +92,6 @@ func CurrentSink() Sink {
 // `go tool pprof -tags` attributes time to pipeline stages.
 func SetPprofLabels(on bool) { pprofLabels.Store(on) }
 
-// Enabled reports whether a trace sink or pprof labels are active (the
-// flight recorder keeps spans live independently of this).
-func Enabled() bool { return CurrentSink() != nil || pprofLabels.Load() }
-
 // ctxKey carries the parent *Span through a context.
 type ctxKey struct{}
 
@@ -113,42 +101,23 @@ func FromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// Span is one live measurement. A nil *Span is valid and inert: every
-// method no-ops, which is how the disabled fast path works.
+// Span is one live measurement. Start never returns nil, but a nil *Span
+// is still valid and inert: every method no-ops, so code holding an
+// optional span needs no checks.
 type Span struct {
-	data         SpanData
-	sink         Sink
-	parentCtx    context.Context // restored into pprof labels at End
-	labeled      bool
-	startAllocs  uint64
-	startMallocs uint64
-	ended        bool
+	data      SpanData
+	sink      Sink
+	parentCtx context.Context // restored into pprof labels at End
+	labeled   bool
+	ended     bool
 }
 
 // Start begins a span named name as a child of the span in ctx (if any)
-// and returns a derived context carrying the new span. When tracing,
-// pprof labels and the flight recorder are all disabled it returns
-// (ctx, nil) without allocating; with only the recorder on (the
-// production default) the span is live but alloc deltas stay zero.
+// and returns a derived context carrying the new span. At End the span
+// goes to the flight recorder and to the sink that was installed when
+// Start ran (if any).
 func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	sink := CurrentSink()
-	labels := pprofLabels.Load()
-	if sink == nil && !labels && !Flight().Enabled() {
-		return ctx, nil
-	}
-	return start(ctx, name, sink, labels, attrs)
-}
-
-// StartAlways is Start that returns a live span even when tracing is
-// disabled, for callers that report the span's wall time themselves
-// (e.g. the experiments CLI). With no sink installed the span is
-// measured but emitted nowhere.
-func StartAlways(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	return start(ctx, name, CurrentSink(), pprofLabels.Load(), attrs)
-}
-
-func start(ctx context.Context, name string, sink Sink, labels bool, attrs []Attr) (context.Context, *Span) {
-	sp := &Span{sink: sink, parentCtx: ctx}
+	sp := &Span{sink: CurrentSink(), parentCtx: ctx}
 	sp.data.ID = spanIDs.Add(1)
 	sp.data.Name = name
 	if parent := FromContext(ctx); parent != nil {
@@ -159,20 +128,12 @@ func start(ctx context.Context, name string, sink Sink, labels bool, attrs []Att
 		sp.data.Attrs = append(sp.data.Attrs, attrs...)
 	}
 	nctx := context.WithValue(ctx, ctxKey{}, sp)
-	if labels {
+	if pprofLabels.Load() {
 		nctx = pprof.WithLabels(nctx, pprof.Labels(pprofLabelKey, name))
 		pprof.SetGoroutineLabels(nctx)
 		sp.labeled = true
 	}
-	if sink != nil {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		sp.startAllocs, sp.startMallocs = ms.TotalAlloc, ms.Mallocs
-	}
 	sp.data.Start = time.Now()
-	if sink != nil {
-		sink.Begin(&sp.data)
-	}
 	return nctx, sp
 }
 
@@ -191,10 +152,6 @@ func (s *Span) Event(name string, attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	fl := Flight()
-	if s.sink == nil && !fl.Enabled() {
-		return
-	}
 	ev := SpanData{
 		ID:     spanIDs.Add(1),
 		Parent: s.data.ID,
@@ -206,13 +163,12 @@ func (s *Span) Event(name string, attrs ...Attr) {
 	if s.sink != nil {
 		s.sink.End(&ev)
 	}
-	fl.record(FlightEvent, &ev, "")
+	Flight().record(FlightEvent, &ev, "")
 }
 
-// End closes the span, records wall time and allocation deltas, emits it
-// to the sink and the flight recorder, restores the parent's pprof
-// labels, and returns the wall time. Safe to call on a nil span
-// (returns 0) and idempotent.
+// End closes the span, records its wall time, emits it to the sink and
+// the flight recorder, restores the parent's pprof labels, and returns
+// the wall time. Safe to call on a nil span (returns 0) and idempotent.
 func (s *Span) End() time.Duration {
 	if s == nil || s.ended {
 		return 0
@@ -223,10 +179,6 @@ func (s *Span) End() time.Duration {
 		pprof.SetGoroutineLabels(s.parentCtx)
 	}
 	if s.sink != nil {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		s.data.AllocBytes = ms.TotalAlloc - s.startAllocs
-		s.data.AllocObjects = ms.Mallocs - s.startMallocs
 		s.sink.End(&s.data)
 	}
 	Flight().record(FlightSpan, &s.data, "")

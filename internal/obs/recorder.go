@@ -16,8 +16,8 @@ import (
 // is always on. Unlike the trace sinks (opt-in, unbounded output), the
 // recorder costs one short critical section per record and a fixed
 // memory bound of capacity × sizeof(FlightEntry) (~200 B plus attrs), so
-// production runs keep it enabled permanently and dump the ring only
-// when something goes wrong: the CLIs write a snapshot on any typed
+// it has no off switch; runs dump the ring only when something goes
+// wrong: the CLIs write a snapshot on any typed
 // error or degradation (-flight-out), and the serving handler exposes it
 // at /flight.
 //
@@ -64,37 +64,24 @@ const DefaultFlightCapacity = 2048
 // Recorder is a fixed-capacity flight-recorder ring. The zero value is
 // not usable; construct with NewRecorder.
 type Recorder struct {
-	enabled atomic.Bool
-
 	mu   sync.Mutex
 	buf  []FlightEntry
 	next uint64 // total records ever; entry i lives at buf[i%cap]
 }
 
-// NewRecorder returns an enabled recorder holding the last capacity
-// records (minimum 16).
+// NewRecorder returns a recorder holding the last capacity records
+// (minimum 16).
 func NewRecorder(capacity int) *Recorder {
 	if capacity < 16 {
 		capacity = 16
 	}
-	r := &Recorder{buf: make([]FlightEntry, 0, capacity)}
-	r.enabled.Store(true)
-	return r
+	return &Recorder{buf: make([]FlightEntry, 0, capacity)}
 }
-
-// SetEnabled toggles recording. Disabled recorders keep their contents.
-func (r *Recorder) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// Enabled reports whether record calls currently store entries.
-func (r *Recorder) Enabled() bool { return r.enabled.Load() }
 
 // record stores one entry; the sequence number is assigned under the
 // lock so snapshots are gap-free. sp is copied by value — SpanData is
 // immutable after End, so aliasing its Attrs slice is safe.
 func (r *Recorder) record(kind string, sp *SpanData, errMsg string) {
-	if !r.enabled.Load() {
-		return
-	}
 	r.mu.Lock()
 	e := FlightEntry{Seq: r.next, Kind: kind, Span: *sp, Err: errMsg}
 	if len(r.buf) < cap(r.buf) {
@@ -235,20 +222,7 @@ func WriteFlightText(w io.Writer, s FlightSnapshot) error {
 	t0 := s.Entries[0].Span.Start
 	for _, e := range s.Entries {
 		rel := e.Span.Start.Sub(t0)
-		line := fmt.Sprintf("seq %04d +%-10v %-12s %s", e.Seq, rel.Round(time.Microsecond), e.Kind, e.Span.Name)
-		if e.Kind == FlightSpan && e.Span.Wall > 0 {
-			line += fmt.Sprintf(" %v", e.Span.Wall.Round(time.Microsecond))
-		}
-		if len(e.Span.Attrs) > 0 {
-			line += " ("
-			for i, a := range e.Span.Attrs {
-				if i > 0 {
-					line += " "
-				}
-				line += fmt.Sprintf("%s=%v", a.Key, a.Value)
-			}
-			line += ")"
-		}
+		line := fmt.Sprintf("seq %04d +%-10v %-12s %s", e.Seq, rel.Round(time.Microsecond), e.Kind, spanLine(&e.Span))
 		if e.Err != "" {
 			line += " err=" + e.Err
 		}

@@ -40,23 +40,11 @@ func TestRecorderRingAndSequence(t *testing.T) {
 	}
 }
 
-func TestRecorderDisabledDropsRecords(t *testing.T) {
-	r := NewRecorder(16)
-	r.SetEnabled(false)
-	r.RecordSpan(&SpanData{Name: "dropped"})
-	if got := r.Snapshot(); len(got.Entries) != 0 || got.Recorded != 0 {
-		t.Fatalf("disabled recorder stored %+v", got)
-	}
-}
-
 func TestSpansEventsAndErrorsReachFlight(t *testing.T) {
 	SetSink(nil)
 	fr := withFlight(t, NewRecorder(64))
 
 	ctx, sp := Start(context.Background(), "stage", Int("n", 3))
-	if sp == nil {
-		t.Fatal("Start returned nil span with the flight recorder enabled")
-	}
 	_, child := Start(ctx, "child")
 	child.Event("decision", Str("why", "test"))
 	child.End()

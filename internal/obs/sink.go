@@ -1,31 +1,32 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"sync"
+	"time"
 )
 
-// Sink receives span records. Begin fires when a span opens (Wall and
-// alloc deltas still zero) so interactive sinks can show progress; End
-// fires with the completed record. Implementations must be safe for
-// concurrent use.
+// Sink receives completed span records (and zero-wall events) at End.
+// Implementations must be safe for concurrent use.
 type Sink interface {
-	Begin(sp *SpanData)
 	End(sp *SpanData)
 	Flush() error
 }
 
 // --- human-readable text sink -------------------------------------------
 
-// TextSink writes an indented, human-readable span log — the `-v`
-// progress mode of the CLIs:
+// TextSink writes one line per completed span, indented by depth — the
+// `-v` progress mode of the CLIs. Spans print in end order, children
+// before their parent:
 //
-//	-> gef.explain
-//	   -> sampling.build_domains
-//	   <- sampling.build_domains 1.8ms +312KB (features=5 points=320)
+//	   sampling.build_domains 1.8ms (features=5 points=320)
+//	   gam.fit 3.1ms (rows=100)
+//	gef.explain 6.2ms
 type TextSink struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -35,37 +36,13 @@ type TextSink struct {
 // NewTextSink returns a text sink writing to w.
 func NewTextSink(w io.Writer) *TextSink { return &TextSink{w: w} }
 
-// printf writes through the sink, capturing the first write error so a
-// truncated trace does not pass silently; Flush reports it.
-func (t *TextSink) printf(format string, args ...any) {
-	if t.err != nil {
-		return
-	}
-	_, t.err = fmt.Fprintf(t.w, format, args...)
-}
-
-func (t *TextSink) Begin(sp *SpanData) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.printf("%s-> %s\n", strings.Repeat("   ", sp.Depth), sp.Name)
-}
-
 func (t *TextSink) End(sp *SpanData) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	indent := strings.Repeat("   ", sp.Depth)
-	t.printf("%s<- %s %v +%s", indent, sp.Name, sp.Wall, byteSize(sp.AllocBytes))
-	if len(sp.Attrs) > 0 {
-		t.printf(" (")
-		for i, a := range sp.Attrs {
-			if i > 0 {
-				t.printf(" ")
-			}
-			t.printf("%s=%v", a.Key, a.Value)
-		}
-		t.printf(")")
+	if t.err != nil {
+		return
 	}
-	t.printf("\n")
+	_, t.err = fmt.Fprintf(t.w, "%s%s\n", strings.Repeat("   ", sp.Depth), spanLine(sp))
 }
 
 func (t *TextSink) Flush() error {
@@ -74,26 +51,35 @@ func (t *TextSink) Flush() error {
 	return t.err
 }
 
-// byteSize renders a byte count compactly (B / KB / MB / GB).
-func byteSize(b uint64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.1fGB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", b)
+// spanLine renders a record as its name, its wall time (when nonzero)
+// and its attributes. It is the one span renderer: the -v sink and
+// WriteFlightText both print through it.
+func spanLine(sp *SpanData) string {
+	var b strings.Builder
+	b.WriteString(sp.Name)
+	if sp.Wall > 0 {
+		fmt.Fprintf(&b, " %v", sp.Wall.Round(time.Microsecond))
 	}
+	for i, a := range sp.Attrs {
+		if i == 0 {
+			b.WriteString(" (")
+		} else {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%v", a.Key, a.Value)
+	}
+	if len(sp.Attrs) > 0 {
+		b.WriteByte(')')
+	}
+	return b.String()
 }
 
 // --- JSON-lines sink -----------------------------------------------------
 
-// JSONSink writes one JSON object per *completed* span (Begin is a no-op),
-// in end order — children before parents, reconstructable into a tree via
-// the id/parent fields. The format is the machine-analysis counterpart of
-// TextSink.
+// JSONSink writes one JSON object per completed span, in end order —
+// children before parents, reconstructable into a tree via the id/parent
+// fields. This is the -trace format; ReadTrace loads it back and
+// WriteChromeTrace renders it for a trace viewer.
 type JSONSink struct {
 	mu  sync.Mutex
 	enc *json.Encoder
@@ -105,8 +91,6 @@ type JSONSink struct {
 func NewJSONSink(w io.Writer) *JSONSink {
 	return &JSONSink{enc: json.NewEncoder(w), w: w}
 }
-
-func (j *JSONSink) Begin(sp *SpanData) {}
 
 func (j *JSONSink) End(sp *SpanData) {
 	j.mu.Lock()
@@ -129,6 +113,29 @@ func (j *JSONSink) Flush() error {
 	return nil
 }
 
+// ReadTraceFile loads a JSON-lines trace written by JSONSink (a -trace
+// file), in file order. Attribute values come back as JSON decodes them
+// (numbers as float64).
+func ReadTraceFile(path string) ([]SpanData, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var spans []SpanData
+	for {
+		var sp SpanData
+		err := dec.Decode(&sp)
+		if err == io.EOF {
+			return spans, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("obs: parsing trace %s, record %d: %w", path, len(spans)+1, err)
+		}
+		spans = append(spans, sp)
+	}
+}
+
 // --- in-memory sink (tests, BenchReport) ---------------------------------
 
 // MemorySink records completed spans in memory, in end order.
@@ -139,8 +146,6 @@ type MemorySink struct {
 
 // NewMemorySink returns an empty in-memory sink.
 func NewMemorySink() *MemorySink { return &MemorySink{} }
-
-func (m *MemorySink) Begin(sp *SpanData) {}
 
 func (m *MemorySink) End(sp *SpanData) {
 	m.mu.Lock()

@@ -3,12 +3,11 @@ package obs
 import "errors"
 
 // SinkTee fans every span record out to several sinks in declaration
-// order — the composition the CLIs use when -v text progress, a -trace
-// file and a -trace-format=chrome export all run in one process, and
-// the one gef.CombineTraceSinks returns. Flush flushes every sink and
-// reports *all* failures, joined with errors.Join, not only the first
-// (a truncated Chrome export should not be masked by an earlier
-// text-sink error).
+// order — the composition the CLIs use when -v text progress and a
+// -trace file run in one process, and the one gef.CombineTraceSinks
+// returns. Flush flushes every sink and reports *all* failures, joined
+// with errors.Join, not only the first (a truncated trace file should
+// not be masked by an earlier text-sink error).
 type SinkTee struct {
 	sinks []Sink
 }
@@ -29,13 +28,6 @@ func NewSinkTee(sinks ...Sink) Sink {
 		return live[0]
 	}
 	return &SinkTee{sinks: live}
-}
-
-// Begin forwards to every sink in declaration order.
-func (t *SinkTee) Begin(sp *SpanData) {
-	for _, s := range t.sinks {
-		s.Begin(sp)
-	}
 }
 
 // End forwards to every sink in declaration order.

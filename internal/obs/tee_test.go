@@ -14,8 +14,7 @@ type recordingSink struct {
 	flushErr error
 }
 
-func (r *recordingSink) Begin(sp *SpanData) { *r.log = append(*r.log, r.name+".begin:"+sp.Name) }
-func (r *recordingSink) End(sp *SpanData)   { *r.log = append(*r.log, r.name+".end:"+sp.Name) }
+func (r *recordingSink) End(sp *SpanData) { *r.log = append(*r.log, r.name+".end:"+sp.Name) }
 func (r *recordingSink) Flush() error {
 	*r.log = append(*r.log, r.name+".flush")
 	return r.flushErr
@@ -27,12 +26,11 @@ func TestSinkTeeOrdering(t *testing.T) {
 	b := &recordingSink{name: "b", log: &log}
 	tee := NewSinkTee(a, nil, b)
 	sp := SpanData{Name: "s"}
-	tee.Begin(&sp)
 	tee.End(&sp)
 	if err := tee.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	want := []string{"a.begin:s", "b.begin:s", "a.end:s", "b.end:s", "a.flush", "b.flush"}
+	want := []string{"a.end:s", "b.end:s", "a.flush", "b.flush"}
 	if fmt.Sprint(log) != fmt.Sprint(want) {
 		t.Errorf("call order = %v, want %v", log, want)
 	}
@@ -52,7 +50,7 @@ func TestMultiSinkFansOut(t *testing.T) {
 
 func TestSinkTeeFlushJoinsAllErrors(t *testing.T) {
 	var log []string
-	e1, e2 := errors.New("chrome truncated"), errors.New("jsonl disk full")
+	e1, e2 := errors.New("stderr closed"), errors.New("jsonl disk full")
 	a := &recordingSink{name: "a", log: &log, flushErr: e1}
 	b := &recordingSink{name: "b", log: &log} // healthy sink between the failures
 	c := &recordingSink{name: "c", log: &log, flushErr: e2}

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Repo verification: the tier-1 gate, the geflint static-analysis gate,
-# and race detection over the concurrency-using packages. The timing and
-# serving gates (flat D* labeling >= 2x the pointer walk on multi-core
-# hosts, coalescing under a duplicate-heavy mixed-family load, all three
-# explainer families present with cross-family cache reuse) are plain
+# race detection over the concurrency-using packages, and the gefd and
+# trace smokes. The timing and serving gates (flat D* labeling >= 2x the
+# pointer walk on multi-core hosts, coalescing under a duplicate-heavy
+# mixed-family load, all three explainer families present with
+# cross-family cache reuse, the traced-span overhead bound) are plain
 # tests inside `go test ./...`.
 set -eux
 
@@ -104,3 +105,21 @@ kill -TERM "${gefd_pid}"
 wait "${gefd_pid}"
 trap - EXIT
 rm -rf "${smoke_dir}"
+
+# Trace smoke: -trace writes the one on-disk span format (JSON lines),
+# -v prints one line per completed span, and `gef -chrome` renders the
+# JSONL file as a Chrome trace_event array for chrome://tracing.
+trace_dir=$(mktemp -d)
+trap 'rm -rf "${trace_dir}"' EXIT
+go build -o "${trace_dir}/gef" ./cmd/gef
+go build -o "${trace_dir}/forestgen" ./cmd/forestgen
+"${trace_dir}/forestgen" -gen gprime -rows 2000 -out "${trace_dir}/f.json" >/dev/null
+"${trace_dir}/gef" -forest "${trace_dir}/f.json" -n 2000 -no-charts \
+	-trace "${trace_dir}/t.jsonl" -v >/dev/null 2>"${trace_dir}/v.log"
+"${trace_dir}/gef" -chrome "${trace_dir}/t.jsonl" >"${trace_dir}/t.json"
+test -s "${trace_dir}/t.jsonl"
+test -s "${trace_dir}/v.log"
+test -s "${trace_dir}/t.json"
+test "$(head -c 1 "${trace_dir}/t.json")" = '['
+trap - EXIT
+rm -rf "${trace_dir}"
