@@ -236,7 +236,7 @@ func main() {
 		} else {
 			// Non-GAM families have no standalone model file; persist the
 			// whole explanation (versioned, family-tagged) instead.
-			blob, err := e.Marshal(true)
+			blob, err := e.MarshalCtx(ctx, true)
 			if err != nil {
 				fatal("saving explanation: %v", err)
 			}

@@ -239,6 +239,10 @@ type Explanation struct {
 	// valid but simpler than configured — inspect it before trusting
 	// per-term attributions.
 	Degradations []robust.Degradation
+
+	// enc is the fit artifact's encoding memo (nil for explanations not
+	// served from a fit artifact: AutoExplain results, reloaded blobs).
+	enc *encodeMemo
 }
 
 // Explain runs the full GEF pipeline on the forest through the shared
@@ -379,6 +383,7 @@ func (e *Engine) explainCtx(ctx context.Context, f *forest.Forest, cfg Config) (
 		Forest:       f,
 		Config:       cfg,
 		Degradations: p.degr,
+		enc:          &fit.enc,
 	}
 	if gm, ok := fit.model.(*gamModel); ok {
 		ex.Model = gm.m
@@ -447,7 +452,11 @@ func (p *pipeline) runFit(ctx context.Context, sur Surrogate, pairs []featsel.Pa
 			if ferr != nil {
 				return nil, ferr
 			}
-			return &fitArtifact{model: model, fidelity: fid, degr: degr}, nil
+			art := &fitArtifact{model: model, fidelity: fid, degr: degr}
+			eng := p.eng
+			art.enc = encodeMemo{model: model, domains: p.domains,
+				charge: func(n int64) { eng.charge(key, art, n) }}
+			return art, nil
 		},
 	})
 	if err != nil {

@@ -222,6 +222,32 @@ func (e *Engine) store(stage, key string, val any) {
 	}
 	e.entries[key] = e.lru.PushFront(&cacheEntry{key: key, stage: stage, val: val, cost: cost})
 	e.used += cost
+	e.evictLocked()
+}
+
+// charge adds bytes to the resident cost of the entry under key, if that
+// entry still holds val, and evicts past the budget. Fit artifacts call
+// it when their encoding memo fills, so memoized bytes count against the
+// budget and leave with the entry.
+func (e *Engine) charge(key string, val any, bytes int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	el, ok := e.entries[key]
+	if !ok {
+		return
+	}
+	ent := el.Value.(*cacheEntry)
+	if ent.val != val {
+		return
+	}
+	ent.cost += bytes
+	e.used += bytes
+	e.evictLocked()
+}
+
+// evictLocked drops least-recently-used entries until the cache fits its
+// budget. e.mu must be held.
+func (e *Engine) evictLocked() {
 	for e.used > e.budget {
 		back := e.lru.Back()
 		if back == nil {

@@ -124,11 +124,13 @@ func surrogateFor(name string) (Surrogate, error) {
 // fidelity on the D* test split (pinned by the sample key, so it is a
 // pure function of the fit key) and the degradations its fit recorded,
 // so a cache hit replays the same simplification record the original
-// computation produced (mirroring domainsArtifact).
+// computation produced (mirroring domainsArtifact). enc memoizes the
+// encoded heavy parts of every explanation served from it.
 type fitArtifact struct {
 	model    SurrogateModel
 	fidelity Fidelity
 	degr     []robust.Degradation
+	enc      encodeMemo
 }
 
 // cost approximates the artifact's resident bytes for the engine's

@@ -46,18 +46,6 @@ type shapRequest struct {
 	BudgetMS    int         `json:"budget_ms"`
 }
 
-// explainResponse wraps a versioned explanation blob. Degradations are
-// duplicated at the top level (they also travel inside the blob) so
-// clients can check "did the ladder fire" without decoding the
-// explanation, mirroring the Warning header.
-type explainResponse struct {
-	Fingerprint  string               `json:"fingerprint"`
-	Coalesced    bool                 `json:"coalesced"`
-	Degradations []robust.Degradation `json:"degradations,omitempty"`
-	Steps        []core.AutoStep      `json:"steps,omitempty"`
-	Explanation  json.RawMessage      `json:"explanation"`
-}
-
 type shapResponse struct {
 	Fingerprint string    `json:"fingerprint"`
 	Coalesced   bool      `json:"coalesced"`
@@ -182,8 +170,12 @@ func (s *Server) serveComputation(
 // writeExplanation emits the 200 response for explain/autoexplain,
 // advertising any degradations in a Warning header so even clients
 // that only check headers see "this answer is simplified".
-func (s *Server) writeExplanation(w http.ResponseWriter, fp string, ex *core.Explanation, steps []core.AutoStep, coalesced, includeCI bool) {
-	blob, err := ex.Marshal(includeCI)
+func (s *Server) writeExplanation(ctx context.Context, w http.ResponseWriter, fp string, ex *core.Explanation, steps []core.AutoStep, coalesced, includeCI bool) {
+	var body []byte
+	blob, err := ex.MarshalCtx(ctx, includeCI)
+	if err == nil {
+		body, err = appendExplainResponse(make([]byte, 0, len(blob)+512), fp, coalesced, ex.Degradations, steps, blob)
+	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Kind: "internal"})
 		return
@@ -191,13 +183,49 @@ func (s *Server) writeExplanation(w http.ResponseWriter, fp string, ex *core.Exp
 	if n := len(ex.Degradations); n > 0 {
 		w.Header().Set("Warning", fmt.Sprintf("199 gefd \"degraded result: %d recorded degradation(s)\"", n))
 	}
-	writeJSON(w, http.StatusOK, explainResponse{
-		Fingerprint:  fp,
-		Coalesced:    coalesced,
-		Degradations: ex.Degradations,
-		Steps:        steps,
-		Explanation:  blob,
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		obs.RecordError("serve.write", err)
+	}
+}
+
+// appendExplainResponse appends the explain/autoexplain response body
+// to buf: the versioned explanation blob wrapped as
+//
+//	{"fingerprint":…,"coalesced":…,"degradations":[…],"steps":[…],"explanation":{…}}
+//
+// plus writeJSON's trailing newline. Degradations are duplicated at the
+// top level (they also travel inside the blob) so clients can check
+// "did the ladder fire" without decoding the explanation, mirroring the
+// Warning header; both they and steps are omitted when empty. The blob
+// is spliced in as is: it is already compact, HTML-escaped JSON, so
+// passing it through encoding/json as a RawMessage would only re-scan
+// it into the same bytes.
+func appendExplainResponse(buf []byte, fp string, coalesced bool, degr []robust.Degradation, steps []core.AutoStep, blob []byte) ([]byte, error) {
+	buf = append(buf, `{"fingerprint":`...)
+	b, err := json.Marshal(fp)
+	if err != nil {
+		return nil, err
+	}
+	buf = append(buf, b...)
+	buf = append(buf, `,"coalesced":`...)
+	buf = strconv.AppendBool(buf, coalesced)
+	if len(degr) > 0 {
+		if b, err = json.Marshal(degr); err != nil {
+			return nil, err
+		}
+		buf = append(append(buf, `,"degradations":`...), b...)
+	}
+	if len(steps) > 0 {
+		if b, err = json.Marshal(steps); err != nil {
+			return nil, err
+		}
+		buf = append(append(buf, `,"steps":`...), b...)
+	}
+	buf = append(buf, `,"explanation":`...)
+	buf = append(buf, blob...)
+	return append(buf, '}', '\n'), nil
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -231,7 +259,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.writeExplanation(w, req.Fingerprint, val.(*core.Explanation), nil, coalesced, req.IncludeCI)
+	s.writeExplanation(r.Context(), w, req.Fingerprint, val.(*core.Explanation), nil, coalesced, req.IncludeCI)
 }
 
 // autoResult carries AutoExplainCtx's pair through the coalescer.
@@ -272,7 +300,7 @@ func (s *Server) handleAutoExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := val.(*autoResult)
-	s.writeExplanation(w, req.Fingerprint, res.ex, res.steps, coalesced, req.IncludeCI)
+	s.writeExplanation(r.Context(), w, req.Fingerprint, res.ex, res.steps, coalesced, req.IncludeCI)
 }
 
 func (s *Server) handleShap(w http.ResponseWriter, r *http.Request) {

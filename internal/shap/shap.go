@@ -50,35 +50,60 @@ func Values(f *forest.Forest, x []float64) (phi []float64, base float64) {
 // the cover-weighted mean precomputed at compile time (bit-identical to
 // the recursive formulation). The arithmetic is unchanged from the
 // pointer walk, so attributions are bitwise identical to it.
+//
+// The feature paths live in one arena per call, laid out as in Lundberg
+// et al.'s reference implementation: each recursion level builds its
+// path right after its parent's, so the path at depth d (at most d+1
+// elements) starts at most d(d+1)/2 elements in, and (D+2)(D+3)/2
+// elements cover a max depth D. A call allocates φ and the arena and
+// nothing per node.
 func ValuesFlat(fl *forest.Flat, x []float64) (phi []float64, base float64) {
 	phi = make([]float64, fl.NumFeatures)
 	base = fl.BaseScore
-	visits := 0
+	maxDepth := 0
+	for t := 0; t < fl.NumTrees; t++ {
+		maxDepth = max(maxDepth, fl.TreeMaxDepth(t))
+	}
+	w := walker{fl: fl, x: x, phi: phi, arena: make([]pathElem, (maxDepth+2)*(maxDepth+3)/2)}
 	for t := 0; t < fl.NumTrees; t++ {
 		base += fl.TreeMean(t)
-		recurse(fl, x, phi, fl.TreeRoot(t), nil, 1, 1, -1, &visits)
+		w.recurse(fl.TreeRoot(t), 0, 0, 1, 1, -1)
 	}
 	mInstances.Inc()
-	mNodeVisits.Add(int64(visits))
+	mNodeVisits.Add(int64(w.visits))
 	return phi, base
 }
 
+// walker is one ValuesFlat call's recursion state.
+type walker struct {
+	fl     *forest.Flat
+	x, phi []float64
+	arena  []pathElem // path segments, one per recursion depth
+	visits int
+}
+
 // recurse implements Algorithm 2 of Lundberg et al. (2018), 0-indexed,
-// over the flat arrays (j is an absolute flat node index).
-func recurse(fl *forest.Flat, x []float64, phi []float64, j int32, m []pathElem, pz, po float64, pi int, visits *int) {
-	*visits++
-	m = extend(m, pz, po, pi)
+// over the flat arrays (j is an absolute flat node index). The parent's
+// path is arena[off:off+l]; this node's path is built in the segment
+// right after it, which has room for l+1 elements.
+func (w *walker) recurse(j int32, off, l int, pz, po float64, pi int) {
+	w.visits++
+	fl := w.fl
+	seg := off + l
+	m := w.arena[seg : seg+l+1 : seg+l+1]
+	copy(m, w.arena[off:off+l])
+	extend(m, pz, po, pi)
 	if fl.IsLeaf(j) {
 		v := fl.Value(j)
 		for i := 1; i < len(m); i++ {
-			w := sumUnwoundWeights(m, i)
-			phi[m[i].d] += w * (m[i].o - m[i].z) * v
+			uw := sumUnwoundWeights(m, i)
+			w.phi[m[i].d] += uw * (m[i].o - m[i].z) * v
 		}
 		return
 	}
 	feat := int(fl.Feature(j))
 	hot, cold := fl.Left(j), fl.Right(j)
-	if x[feat] > fl.Threshold(j) {
+	if w.x[feat] > fl.Threshold(j) {
 		hot, cold = cold, hot
 	}
 	iz, io := 1.0, 1.0
@@ -87,48 +112,45 @@ func recurse(fl *forest.Flat, x []float64, phi []float64, j int32, m []pathElem,
 		m = unwind(m, k)
 	}
 	rj := fl.Cover(j)
-	recurse(fl, x, phi, hot, m, iz*fl.Cover(hot)/rj, io, feat, visits)
-	recurse(fl, x, phi, cold, m, iz*fl.Cover(cold)/rj, 0, feat, visits)
+	w.recurse(hot, seg, len(m), iz*fl.Cover(hot)/rj, io, feat)
+	w.recurse(cold, seg, len(m), iz*fl.Cover(cold)/rj, 0, feat)
 }
 
-// extend grows the path with a new (pz, po, pi) fraction pair, updating
-// the subset-cardinality weights.
-func extend(m []pathElem, pz, po float64, pi int) []pathElem {
-	l := len(m)
-	out := make([]pathElem, l+1)
-	copy(out, m)
+// extend grows the path by its last element: m[:len(m)-1] is the
+// parent's path and m[len(m)-1] receives the new (pz, po, pi) fraction
+// pair, updating the subset-cardinality weights in place.
+func extend(m []pathElem, pz, po float64, pi int) {
+	l := len(m) - 1
 	w := 0.0
 	if l == 0 {
 		w = 1
 	}
-	out[l] = pathElem{d: pi, z: pz, o: po, w: w}
+	m[l] = pathElem{d: pi, z: pz, o: po, w: w}
 	for i := l - 1; i >= 0; i-- {
-		out[i+1].w += po * out[i].w * float64(i+1) / float64(l+1)
-		out[i].w = pz * out[i].w * float64(l-i) / float64(l+1)
+		m[i+1].w += po * m[i].w * float64(i+1) / float64(l+1)
+		m[i].w = pz * m[i].w * float64(l-i) / float64(l+1)
 	}
-	return out
 }
 
-// unwind removes path element i, undoing the corresponding extend.
+// unwind removes path element i in place, undoing the corresponding
+// extend, and returns the shortened path.
 func unwind(m []pathElem, i int) []pathElem {
 	l := len(m) - 1
-	out := make([]pathElem, l)
-	copy(out, m[:l])
 	n := m[l].w
 	oi, zi := m[i].o, m[i].z
 	for j := l - 1; j >= 0; j-- {
 		if oi != 0 {
-			tmp := out[j].w
-			out[j].w = n * float64(l+1) / (float64(j+1) * oi)
-			n = tmp - out[j].w*zi*float64(l-j)/float64(l+1)
+			tmp := m[j].w
+			m[j].w = n * float64(l+1) / (float64(j+1) * oi)
+			n = tmp - m[j].w*zi*float64(l-j)/float64(l+1)
 		} else {
-			out[j].w = out[j].w * float64(l+1) / (zi * float64(l-j))
+			m[j].w = m[j].w * float64(l+1) / (zi * float64(l-j))
 		}
 	}
 	for j := i; j < l; j++ {
-		out[j].d, out[j].z, out[j].o = m[j+1].d, m[j+1].z, m[j+1].o
+		m[j].d, m[j].z, m[j].o = m[j+1].d, m[j+1].z, m[j+1].o
 	}
-	return out
+	return m[:l]
 }
 
 // sumUnwoundWeights returns Σ w of the path with element i unwound,

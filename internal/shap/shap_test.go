@@ -3,6 +3,7 @@ package shap
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"gef/internal/dataset"
@@ -355,5 +356,136 @@ func TestDependenceSeries(t *testing.T) {
 	}
 	if nlo > 0 && nhi > 0 && hi/nhi <= lo/nlo {
 		t.Errorf("sigmoid feature dependence not increasing: %v vs %v", lo/nlo, hi/nhi)
+	}
+}
+
+// referenceValues is the allocating recursion ValuesFlat replaced: every
+// node visit extends into a fresh path slice and unwinds into another.
+// It is the bitwise oracle for the arena walk.
+func referenceValues(fl *forest.Flat, x []float64) (phi []float64, base float64) {
+	phi = make([]float64, fl.NumFeatures)
+	base = fl.BaseScore
+	for t := 0; t < fl.NumTrees; t++ {
+		base += fl.TreeMean(t)
+		referenceRecurse(fl, x, phi, fl.TreeRoot(t), nil, 1, 1, -1)
+	}
+	return phi, base
+}
+
+func referenceRecurse(fl *forest.Flat, x, phi []float64, j int32, m []pathElem, pz, po float64, pi int) {
+	m = referenceExtend(m, pz, po, pi)
+	if fl.IsLeaf(j) {
+		v := fl.Value(j)
+		for i := 1; i < len(m); i++ {
+			w := sumUnwoundWeights(m, i)
+			phi[m[i].d] += w * (m[i].o - m[i].z) * v
+		}
+		return
+	}
+	feat := int(fl.Feature(j))
+	hot, cold := fl.Left(j), fl.Right(j)
+	if x[feat] > fl.Threshold(j) {
+		hot, cold = cold, hot
+	}
+	iz, io := 1.0, 1.0
+	if k := findFirst(m, feat); k >= 0 {
+		iz, io = m[k].z, m[k].o
+		m = referenceUnwind(m, k)
+	}
+	rj := fl.Cover(j)
+	referenceRecurse(fl, x, phi, hot, m, iz*fl.Cover(hot)/rj, io, feat)
+	referenceRecurse(fl, x, phi, cold, m, iz*fl.Cover(cold)/rj, 0, feat)
+}
+
+func referenceExtend(m []pathElem, pz, po float64, pi int) []pathElem {
+	l := len(m)
+	out := make([]pathElem, l+1)
+	copy(out, m)
+	w := 0.0
+	if l == 0 {
+		w = 1
+	}
+	out[l] = pathElem{d: pi, z: pz, o: po, w: w}
+	for i := l - 1; i >= 0; i-- {
+		out[i+1].w += po * out[i].w * float64(i+1) / float64(l+1)
+		out[i].w = pz * out[i].w * float64(l-i) / float64(l+1)
+	}
+	return out
+}
+
+func referenceUnwind(m []pathElem, i int) []pathElem {
+	l := len(m) - 1
+	out := make([]pathElem, l)
+	copy(out, m[:l])
+	n := m[l].w
+	oi, zi := m[i].o, m[i].z
+	for j := l - 1; j >= 0; j-- {
+		if oi != 0 {
+			tmp := out[j].w
+			out[j].w = n * float64(l+1) / (float64(j+1) * oi)
+			n = tmp - out[j].w*zi*float64(l-j)/float64(l+1)
+		} else {
+			out[j].w = out[j].w * float64(l+1) / (zi * float64(l-j))
+		}
+	}
+	for j := i; j < l; j++ {
+		out[j].d, out[j].z, out[j].o = m[j+1].d, m[j+1].z, m[j+1].o
+	}
+	return out
+}
+
+// trainedShapForest is a depth-varied GBDT on G′ whose features repeat
+// along root-to-leaf paths, so the walk exercises unwind.
+func trainedShapForest(t *testing.T) (*forest.Forest, *dataset.Dataset) {
+	t.Helper()
+	d := dataset.GPrime(1500, 0.1, 7)
+	f, err := gbdt.Train(d, gbdt.Params{NumTrees: 40, NumLeaves: 31, Seed: 2})
+	if err != nil {
+		t.Fatalf("training: %v", err)
+	}
+	return f, d
+}
+
+// TestValuesFlatMatchesReference: the arena walk reproduces the
+// allocating recursion bitwise — φ and base — on a trained forest and on
+// random fixtures (which include root-only trees and repeated features).
+func TestValuesFlatMatchesReference(t *testing.T) {
+	f, d := trainedShapForest(t)
+	check := func(name string, fl *forest.Flat, x []float64) {
+		t.Helper()
+		phi, base := ValuesFlat(fl, x)
+		wantPhi, wantBase := referenceValues(fl, x)
+		if math.Float64bits(base) != math.Float64bits(wantBase) {
+			t.Fatalf("%s: base = %v, reference %v", name, base, wantBase)
+		}
+		for i := range wantPhi {
+			if math.Float64bits(phi[i]) != math.Float64bits(wantPhi[i]) {
+				t.Fatalf("%s: φ[%d] = %v, reference %v", name, i, phi[i], wantPhi[i])
+			}
+		}
+	}
+	fl := f.Flat()
+	for i, x := range d.X[:200] {
+		check("trained row "+strconv.Itoa(i), fl, x)
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		rf := randomForestFixture(r, 2+r.Intn(4), 1+r.Intn(4), 1+r.Intn(6))
+		x := make([]float64, rf.NumFeatures)
+		for j := range x {
+			x[j] = r.Float64()
+		}
+		check("fixture seed "+strconv.FormatInt(seed, 10), rf.Flat(), x)
+	}
+}
+
+// TestValuesFlatAllocs gates the arena layout deterministically: a call
+// allocates φ and the path arena, never per node.
+func TestValuesFlatAllocs(t *testing.T) {
+	f, d := trainedShapForest(t)
+	fl := f.Flat()
+	x := d.X[3]
+	if n := testing.AllocsPerRun(50, func() { ValuesFlat(fl, x) }); n > 2 {
+		t.Fatalf("ValuesFlat allocates %v times per call, want ≤ 2", n)
 	}
 }

@@ -50,6 +50,12 @@ go test ./...
 # can never silently drop the suite.
 go test -count=1 -run TestFaultInjection ./...
 
+# Explanation-format fuzz smoke: Unmarshal never panics, and every blob
+# it accepts re-marshals through the splice encoder to exactly the
+# encoding/json reference's bytes. A crasher lands in
+# internal/core/testdata/fuzz and fails the step.
+go test -run '^$' -fuzz '^FuzzExplanationMarshal$' -fuzztime 10s ./internal/core
+
 # Race gate: every package whose sources (tests included) start
 # goroutines, touch sync/atomic primitives, or import the internal/par
 # worker-pool runtime or the serving layer is re-run under the race
